@@ -15,6 +15,8 @@
 #include <cstdlib>
 #include <limits>
 #include <iostream>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -34,14 +36,19 @@ namespace {
 
 using namespace coca;
 
-const sim::Scenario& snapshot_scenario(std::size_t groups) {
-  static std::map<std::size_t, sim::Scenario> cache;
-  auto it = cache.find(groups);
+/// `distinct_specs` gives every group its own generation, so no two groups
+/// share a server type (the ladder's per-type clearing then shares nothing).
+const sim::Scenario& snapshot_scenario(std::size_t groups,
+                                       bool distinct_specs = false) {
+  static std::map<std::pair<std::size_t, bool>, sim::Scenario> cache;
+  const auto key = std::make_pair(groups, distinct_specs);
+  auto it = cache.find(key);
   if (it == cache.end()) {
     sim::ScenarioConfig config;
     config.hours = 200;
     config.fleet.group_count = groups;
-    it = cache.emplace(groups, sim::build_scenario(config)).first;
+    if (distinct_specs) config.fleet.generations = groups;
+    it = cache.emplace(key, sim::build_scenario(config)).first;
   }
   return it->second;
 }
@@ -65,18 +72,27 @@ void BM_LoadBalance(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadBalance)->Arg(50)->Arg(200);
 
+// Args: group count, and 1 for an all-distinct-spec fleet (one server type
+// per group) vs 0 for the default four generations.  The solve goes through
+// a fleet-bound context, the way the controllers call the ladder.
 void BM_LadderSolveSlot(benchmark::State& state) {
-  const auto& scenario = snapshot_scenario(state.range(0));
+  const auto& scenario =
+      snapshot_scenario(state.range(0), state.range(1) != 0);
   const auto input = snapshot_input(scenario);
   opt::SlotWeights weights = scenario.weights;
   weights.V = 1.0;
   weights.q = 100.0;
   opt::LadderSolver solver;
+  opt::LoadLpContext lp(scenario.fleet);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(scenario.fleet, input, weights));
+    benchmark::DoNotOptimize(solver.solve(scenario.fleet, input, weights, &lp));
   }
 }
-BENCHMARK(BM_LadderSolveSlot)->Arg(50)->Arg(200);
+BENCHMARK(BM_LadderSolveSlot)
+    ->Args({50, 0})
+    ->Args({200, 0})
+    ->Args({50, 1})
+    ->Args({200, 1});
 
 // The paper's claim: 500 GSD iterations on 200 groups in under one second.
 void BM_Gsd500Iterations200Groups(benchmark::State& state) {

@@ -17,14 +17,16 @@ class CarbonUnawareController final : public core::SlotController {
   std::string name() const override { return "carbon-unaware"; }
   opt::SlotSolution plan(std::size_t t, const opt::SlotInput& input) override;
 
-  /// Stateless per-slot minimizer: capacity hot-swap (fault injection) is
-  /// just re-seating the fleet pointer.
-  void set_fleet(const dc::Fleet& fleet) override { fleet_ = &fleet; }
+  /// Stateless per-slot minimizer: capacity hot-swap (fault injection)
+  /// re-seats the fleet pointer and rebuilds the fleet-bound context.
+  void set_fleet(const dc::Fleet& fleet) override;
 
  private:
   const dc::Fleet* fleet_;
   opt::SlotWeights weights_;
   opt::LadderSolver solver_;
+  /// Ladder tables and load-LP caches for `*fleet_`; rebuilt in set_fleet.
+  opt::LoadLpContext lp_;
 };
 
 }  // namespace coca::baselines

@@ -7,7 +7,15 @@
 namespace coca::core {
 
 CocaController::CocaController(const dc::Fleet& fleet, CocaConfig config)
-    : fleet_(&fleet), config_(std::move(config)), ladder_(config_.ladder) {}
+    : fleet_(&fleet),
+      config_(std::move(config)),
+      ladder_(config_.ladder),
+      lp_(fleet) {}
+
+void CocaController::set_fleet(const dc::Fleet& fleet) {
+  fleet_ = &fleet;
+  lp_ = opt::LoadLpContext(fleet);
+}
 
 opt::SlotSolution CocaController::plan(std::size_t t,
                                        const opt::SlotInput& input) {
@@ -44,7 +52,7 @@ opt::SlotSolution CocaController::plan(std::size_t t,
   last_solve_.solver_chains = 0;
   last_solve_.solver_winning_chain = -1;
   const obs::ScopedSpan ladder_span("ladder_solve");
-  return ladder_.solve(*fleet_, input, weights);
+  return ladder_.solve(*fleet_, input, weights, &lp_);
 }
 
 void CocaController::observe(std::size_t t, const opt::SlotOutcome& billed,

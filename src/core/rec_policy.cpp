@@ -15,13 +15,19 @@ DynamicRecCocaController::DynamicRecCocaController(const dc::Fleet& fleet,
     : fleet_(&fleet),
       config_(std::move(config)),
       market_(std::move(market)),
-      ladder_(config_.ladder) {
+      ladder_(config_.ladder),
+      lp_(fleet) {
   if (market_.spot_price.empty()) {
     throw std::invalid_argument("DynamicRecCoca: empty spot price trace");
   }
   if (market_.max_per_slot_kwh <= 0.0) {
     throw std::invalid_argument("DynamicRecCoca: per-slot cap must be > 0");
   }
+}
+
+void DynamicRecCocaController::set_fleet(const dc::Fleet& fleet) {
+  fleet_ = &fleet;
+  lp_ = opt::LoadLpContext(fleet);
 }
 
 opt::SlotSolution DynamicRecCocaController::plan(std::size_t t,
@@ -31,7 +37,7 @@ opt::SlotSolution DynamicRecCocaController::plan(std::size_t t,
   weights.V = config_.schedule.v_for_slot(t);
   weights.q = queue_.length();
   const obs::ScopedSpan ladder_span("ladder_solve");
-  return ladder_.solve(*fleet_, input, weights);
+  return ladder_.solve(*fleet_, input, weights, &lp_);
 }
 
 double DynamicRecCocaController::purchase_decision(std::size_t t,

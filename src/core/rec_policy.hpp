@@ -46,10 +46,11 @@ class DynamicRecCocaController final : public SlotController {
   double diagnostic_queue_length() const override { return queue_.length(); }
   SlotDiagnostics diagnostics(std::size_t t) const override;
 
-  /// Degraded-mode hooks: capacity hot-swap plus coca-ckpt-v1 crash/restart
-  /// covering the full purchasing state (queue, ledger, spend, purchase
-  /// history) on top of the base COCA queue.
-  void set_fleet(const dc::Fleet& fleet) override { fleet_ = &fleet; }
+  /// Degraded-mode hooks: capacity hot-swap (rebuilding the ladder's
+  /// fleet-bound context) plus coca-ckpt-v1 crash/restart covering the full
+  /// purchasing state (queue, ledger, spend, purchase history) on top of the
+  /// base COCA queue.
+  void set_fleet(const dc::Fleet& fleet) override;
   bool supports_checkpoint() const override { return true; }
   std::string checkpoint(std::size_t upto_slot) const override;
   void restore(const std::string& blob) override;
@@ -76,6 +77,8 @@ class DynamicRecCocaController final : public SlotController {
   RecMarketConfig market_;
   CarbonDeficitQueue queue_;
   opt::LadderSolver ladder_;
+  /// Ladder tables and load-LP caches for `*fleet_`; rebuilt in set_fleet.
+  opt::LoadLpContext lp_;
   energy::RecLedger ledger_;
   double spend_ = 0.0;
   std::vector<double> purchases_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -29,74 +30,57 @@ double response(double nu, double mu, double v_beta, double c, double s,
   return std::clamp(a, 0.0, gamma * s);
 }
 
-struct GroupLevelView {
-  double rate = 0.0;        ///< s_k
-  double slope = 0.0;       ///< facility dynamic slope pue*p_c/s
-  double static_kw = 0.0;   ///< facility static power pue*p_s
+/// A server type's best (level, per-server load, profit) at workload price nu.
+struct Response {
+  std::size_t level = 0;
+  double load = 0.0;
+  double profit = 0.0;  ///< per-server profit nu*a - phi(a)
 };
 
-struct GroupView {
-  std::size_t index = 0;
-  double servers = 0.0;
-  std::vector<GroupLevelView> levels;
-
-  /// Best (level, per-server load, profit) at workload price nu.
-  struct Response {
-    std::size_t level = 0;
-    double load = 0.0;
-    double profit = 0.0;  ///< per-server profit nu*a - phi(a)
-  };
-  Response best_response(double nu, double mu, double v_beta,
-                         double gamma) const {
-    Response best;
-    best.profit = 0.0;
-    bool found = false;
-    for (std::size_t k = 0; k < levels.size(); ++k) {
-      const auto& lv = levels[k];
-      const double a = response(nu, mu, v_beta, lv.slope, lv.rate, gamma);
-      if (a <= kTiny) continue;
-      const double profit =
-          nu * a - server_cost(mu, v_beta, lv.static_kw, lv.slope, lv.rate, a);
-      if (!found || profit > best.profit) {
-        best = {k, a, profit};
-        found = true;
-      }
-    }
-    if (!found || best.profit <= 0.0) return {0, 0.0, 0.0};
-    return best;
-  }
-
-  /// Price at which the group first becomes profitable to activate:
-  /// min over levels of the average cost at the jointly optimal load a*.
-  double break_even(double mu, double v_beta, double gamma) const {
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& lv : levels) {
-      const double theta = std::sqrt(mu * lv.static_kw / v_beta);
-      double a = lv.rate * theta / (1.0 + theta);
-      a = std::clamp(a, 1e-9 * lv.rate, gamma * lv.rate);
-      best = std::min(best, server_cost(mu, v_beta, lv.static_kw, lv.slope,
-                                        lv.rate, a) /
-                                a);
-    }
-    return best;
-  }
-};
-
-std::vector<GroupView> make_views(const dc::Fleet& fleet, double pue) {
-  std::vector<GroupView> views(fleet.group_count());
-  for (std::size_t g = 0; g < fleet.group_count(); ++g) {
-    const auto& group = fleet.group(g);
-    views[g].index = g;
-    views[g].servers = static_cast<double>(group.server_count());
-    views[g].levels.reserve(group.spec().level_count());
-    for (std::size_t k = 0; k < group.spec().level_count(); ++k) {
-      const auto& lv = group.spec().level(k);
-      views[g].levels.push_back({lv.service_rate,
-                                 pue * group.spec().dynamic_slope(k),
-                                 pue * group.spec().static_power_kw()});
+/// Best response of the server type whose tables are group `first`'s: a pure
+/// function of those tables and the prices, so every group of the type
+/// shares it bit for bit.
+Response best_response(const LoadLpContext::FleetTables& tables,
+                       std::size_t first, double nu, double mu, double v_beta,
+                       double gamma) {
+  const std::size_t begin = tables.level_offset[first];
+  const std::size_t end = tables.level_offset[first + 1];
+  const double static_kw = tables.facility_static[first];
+  Response best;
+  bool found = false;
+  for (std::size_t i = begin; i < end; ++i) {
+    const double rate = tables.rate[i];
+    const double slope = tables.facility_slope[i];
+    const double a = response(nu, mu, v_beta, slope, rate, gamma);
+    if (a <= kTiny) continue;
+    const double profit =
+        nu * a - server_cost(mu, v_beta, static_kw, slope, rate, a);
+    if (!found || profit > best.profit) {
+      best = {i - begin, a, profit};
+      found = true;
     }
   }
-  return views;
+  if (!found || best.profit <= 0.0) return {};
+  return best;
+}
+
+/// Price at which the type first becomes profitable to activate: min over
+/// levels of the average cost at the jointly optimal load a*.
+double break_even(const LoadLpContext::FleetTables& tables, std::size_t first,
+                  double mu, double v_beta, double gamma) {
+  const double static_kw = tables.facility_static[first];
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t i = tables.level_offset[first];
+       i < tables.level_offset[first + 1]; ++i) {
+    const double rate = tables.rate[i];
+    const double theta = std::sqrt(mu * static_kw / v_beta);
+    double a = rate * theta / (1.0 + theta);
+    a = std::clamp(a, 1e-9 * rate, gamma * rate);
+    best = std::min(best, server_cost(mu, v_beta, static_kw,
+                                      tables.facility_slope[i], rate, a) /
+                              a);
+  }
+  return best;
 }
 
 /// Pure energy-minimizing provisioning for the degenerate beta == 0 case:
@@ -162,14 +146,23 @@ SlotSolution LadderSolver::solve_linear(const dc::Fleet& fleet,
     solution.alloc = energy_greedy(fleet, lambda, mu, weights);
     lp.solve_linear(solution.alloc, lambda, mu, weights);
   } else {
-    const auto views = make_views(fleet, weights.pue);
     // Market clearing: find the workload price at which the fleet's supply
-    // meets lambda.
+    // meets lambda.  Each price evaluates one best response per server type
+    // (DESIGN.md §4.2); the supply sums servers * load in group order.
+    const auto tables = lp.tables(weights);
+    const std::size_t groups = tables.group_type.size();
+    std::vector<Response> by_type(tables.type_group.size());
+    auto respond = [&](double nu) {
+      for (std::size_t t = 0; t < by_type.size(); ++t) {
+        by_type[t] = best_response(tables, tables.type_group[t], nu, mu,
+                                   v_beta, weights.gamma);
+      }
+    };
     auto supply = [&](double nu) {
+      respond(nu);
       double total = 0.0;
-      for (const auto& view : views) {
-        const auto r = view.best_response(nu, mu, v_beta, weights.gamma);
-        total += view.servers * r.load;
+      for (std::size_t g = 0; g < groups; ++g) {
+        total += tables.servers[g] * by_type[tables.group_type[g]].load;
       }
       return total;
     };
@@ -177,16 +170,19 @@ SlotSolution LadderSolver::solve_linear(const dc::Fleet& fleet,
     // utilization cap, so supply(hi) equals the full gamma-capped capacity.
     // That requires hi to exceed both the marginal cost at a = gamma*s (so
     // the response saturates) and the average cost there (so profit > 0).
+    // A max is exact and order-free, so one pass per type suffices.
     double hi = 0.0;
-    for (const auto& view : views) {
-      for (const auto& lv : view.levels) {
-        const double a_cap = weights.gamma * lv.rate;
+    for (const std::size_t first : tables.type_group) {
+      const double static_kw = tables.facility_static[first];
+      for (std::size_t i = tables.level_offset[first];
+           i < tables.level_offset[first + 1]; ++i) {
+        const double rate = tables.rate[i];
+        const double slope = tables.facility_slope[i];
+        const double a_cap = weights.gamma * rate;
         const double marginal =
-            mu * lv.slope + v_beta * lv.rate /
-                                ((lv.rate - a_cap) * (lv.rate - a_cap));
+            mu * slope + v_beta * rate / ((rate - a_cap) * (rate - a_cap));
         const double average =
-            server_cost(mu, v_beta, lv.static_kw, lv.slope, lv.rate, a_cap) /
-            a_cap;
+            server_cost(mu, v_beta, static_kw, slope, rate, a_cap) / a_cap;
         hi = std::max({hi, marginal, average});
       }
     }
@@ -211,7 +207,8 @@ SlotSolution LadderSolver::solve_linear(const dc::Fleet& fleet,
 
     // Build the bang-bang activation at nu*, then trim oversupply starting
     // from the least efficient (highest break-even) active groups so the
-    // marginal group is partially sized.
+    // marginal group is partially sized.  Groups enter in group order with
+    // their type's response, so the sort sees the per-group sequence.
     struct Active {
       std::size_t group;
       std::size_t level;
@@ -219,12 +216,20 @@ SlotSolution LadderSolver::solve_linear(const dc::Fleet& fleet,
       double supply;
       double break_even;
     };
+    respond(nu_star);
+    std::vector<double> type_break_even(by_type.size());
+    for (std::size_t t = 0; t < by_type.size(); ++t) {
+      if (by_type[t].load <= kTiny) continue;
+      type_break_even[t] = break_even(tables, tables.type_group[t], mu, v_beta,
+                                      weights.gamma);
+    }
     std::vector<Active> actives;
-    for (const auto& view : views) {
-      const auto r = view.best_response(nu_star, mu, v_beta, weights.gamma);
+    for (std::size_t g = 0; g < groups; ++g) {
+      const std::size_t t = tables.group_type[g];
+      const Response& r = by_type[t];
       if (r.load <= kTiny) continue;
-      actives.push_back({view.index, r.level, r.load, view.servers * r.load,
-                         view.break_even(mu, v_beta, weights.gamma)});
+      actives.push_back({g, r.level, r.load, tables.servers[g] * r.load,
+                         type_break_even[t]});
     }
     double total = 0.0;
     for (const auto& a : actives) total += a.supply;
@@ -233,7 +238,7 @@ SlotSolution LadderSolver::solve_linear(const dc::Fleet& fleet,
     });
     solution.alloc = dc::Allocation(fleet.group_count());
     for (auto& a : actives) {
-      double servers = static_cast<double>(fleet.group(a.group).server_count());
+      double servers = tables.servers[a.group];
       if (total - a.supply >= lambda) {
         total -= a.supply;  // drop entirely
         continue;

@@ -10,7 +10,10 @@
 // until its server count saturates.  Parameterizing every group's best
 // response by a common workload price nu turns provisioning into a scalar
 // market-clearing problem: a bisection on nu activates groups in merit order
-// and sizes the marginal group.  The renewable kink is handled by an outer
+// and sizes the marginal group.  A group's best response depends only on its
+// level tables, so the clearing evaluates it once per server type (groups
+// with bitwise-equal tables) and shares it across the type's groups.  The
+// renewable kink is handled by an outer
 // bisection on mu exactly as in the load balancer.  With ~1000 servers per
 // group the integrality gap of the relaxation is negligible; an optional
 // local-search polish tightens the remaining slack.
@@ -50,9 +53,12 @@ class LadderSolver {
   /// Solve P3 for one slot.  Returns an infeasible solution (objective +inf)
   /// if even the full fleet at top speed cannot serve lambda under gamma.
   /// An optional LoadLpContext (built for the *same* fleet) carries the
-  /// load-LP caches across repeated solves — the capped solvers reuse one
-  /// across their multiplier bisections; when omitted a solve-local context
-  /// is used.  Results are bit-identical either way (kBitExact policy).
+  /// fleet tables, the server-type index and the load-LP caches across
+  /// solves.  CocaController, DynamicRecCocaController and
+  /// CarbonUnawareController each pass the context bound to their current
+  /// fleet (rebuilt in set_fleet); the capped solvers reuse one across their
+  /// multiplier bisections.  When omitted the solve builds its own.  Results
+  /// are bit-identical either way (kBitExact policy).
   SlotSolution solve(const dc::Fleet& fleet, const SlotInput& input,
                      const SlotWeights& weights,
                      LoadLpContext* lp = nullptr) const;

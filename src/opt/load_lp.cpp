@@ -90,6 +90,34 @@ LoadLpContext::LoadLpContext(const dc::Fleet& fleet, LoadLpPolicy policy)
   slope_table_.assign(slots, 0.0);
   cap_table_.assign(slots, 0.0);
   bracket_denom_table_.assign(slots, 0.0);
+  facility_static_table_.assign(groups, 0.0);
+  // Server types: each group joins the first earlier type whose tables match
+  // it bit for bit, or opens a new one.  Distinct specs differ in their
+  // first rate almost always, so the scan is cheap even with no sharing.
+  const auto same_bits = [](const std::vector<double>& table, std::size_t a,
+                            std::size_t b, std::size_t n) {
+    return std::memcmp(table.data() + a, table.data() + b,
+                       n * sizeof(double)) == 0;
+  };
+  group_type_.assign(groups, 0);
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::size_t levels = level_offset_[g + 1] - level_offset_[g];
+    std::size_t type = 0;
+    for (; type < type_group_.size(); ++type) {
+      const std::size_t first = type_group_[type];
+      const std::size_t a = level_offset_[first];
+      const std::size_t b = level_offset_[g];
+      if (level_offset_[first + 1] - a == levels &&
+          same_bits(static_table_, first, g, 1) &&
+          same_bits(rate_table_, a, b, levels) &&
+          same_bits(dyn_slope_table_, a, b, levels) &&
+          same_bits(dyn_kw_table_, a, b, levels)) {
+        break;
+      }
+    }
+    if (type == type_group_.size()) type_group_.push_back(g);
+    group_type_[g] = type;
+  }
   cls_group_.reserve(groups);
   for (auto* v : {&cls_rate_, &cls_slope_, &cls_active_, &cls_cap_, &cls_denom_,
                   &cls_stat_, &cls_dyn_, &cls_ms_, &cls_thr_, &cls_vbr_,
@@ -119,8 +147,18 @@ void LoadLpContext::refresh_tables(const SlotWeights& weights) {
     cap_table_[i] = weights.gamma * rate_table_[i];
     bracket_denom_table_[i] = rate_table_[i] * one_minus_gamma * one_minus_gamma;
   }
+  for (std::size_t g = 0; g < static_table_.size(); ++g) {
+    facility_static_table_[g] = weights.pue * static_table_[g];
+  }
   tables_pue_ = weights.pue;
   tables_gamma_ = weights.gamma;
+  cls_key_.clear();  // the class lanes hold old entries: rebuild, never patch
+}
+
+LoadLpContext::FleetTables LoadLpContext::tables(const SlotWeights& weights) {
+  refresh_tables(weights);
+  return {level_offset_, rate_table_,   slope_table_, facility_static_table_,
+          server_count_, group_type_, type_group_};
 }
 
 bool LoadLpContext::try_patch_classes(const dc::Allocation& alloc) {
@@ -189,10 +227,8 @@ bool LoadLpContext::try_patch_classes(const dc::Allocation& alloc) {
 void LoadLpContext::build_classes(const dc::Allocation& alloc,
                                   const SlotWeights& weights) {
   if (classes_ready_) return;  // same alloc/weights for the whole solve()
-  const bool tables_fresh =
-      weights.pue == tables_pue_ && weights.gamma == tables_gamma_;
   refresh_tables(weights);
-  if (tables_fresh && try_patch_classes(alloc)) return;
+  if (try_patch_classes(alloc)) return;
   cls_key_.clear();
   dirty_.clear();
   dirty_all_ = true;

@@ -13,6 +13,9 @@
 //   * the fleet's per-(group, level) terms (service rate, facility dynamic
 //     slope, gamma cap, bracket denominators), fetched once and refreshed
 //     only when the weights' pue/gamma change;
+//   * the fleet's server types — groups whose level tables are bitwise
+//     equal — so the ladder's market clearing evaluates one best response
+//     per type instead of per group (tables() exposes both to the ladder);
 //   * SoA (structure-of-arrays) scratch for the active classes, so the
 //     clamp/sqrt best response evaluates element-wise over contiguous arrays
 //     and vectorizes (the per-class invariants mu*c, V*beta/x and V*beta*x
@@ -43,11 +46,12 @@
 // warm = the cached dual point was valid for this (input, weights) pair
 // (i.e. any solve after the first of a slot), cold = first solve or an
 // input/weights change invalidated the cache.  Span counts stay a pure
-// function of the inputs (contexts are per-chain), preserving the repo-wide
-// determinism contract.
+// function of the inputs (contexts are per chain or per controller, never
+// shared across threads), preserving the repo-wide determinism contract.
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "opt/load_balancer.hpp"
@@ -72,11 +76,31 @@ struct LoadLpStats {
 };
 
 /// Reusable solver state for repeated load-LP solves against one fleet.
-/// Not thread-safe: use one context per chain/thread (GSD does).
+/// Not thread-safe: use one context per chain/thread (GSD does).  The ladder
+/// controllers each own one for their fleet and rebuild it in set_fleet.
 class LoadLpContext {
  public:
   explicit LoadLpContext(const dc::Fleet& fleet,
                          LoadLpPolicy policy = LoadLpPolicy::kBitExact);
+
+  /// Read-only view of the fleet tables.  Group g's level k is entry
+  /// `level_offset[g] + k` of the per-level spans.  A server type is a set
+  /// of groups whose level count, per-level service rate, dynamic slope and
+  /// dynamic power, and static power are bitwise equal; server counts may
+  /// differ.  Types are numbered in order of first appearance, and a type's
+  /// tables are those of its first group.
+  struct FleetTables {
+    std::span<const std::size_t> level_offset;  ///< per group, plus the end
+    std::span<const double> rate;               ///< service rate s_k
+    std::span<const double> facility_slope;     ///< pue * dynamic slope
+    std::span<const double> facility_static;    ///< pue * static kW, per group
+    std::span<const double> servers;            ///< server count, per group
+    std::span<const std::size_t> group_type;    ///< group -> server type
+    std::span<const std::size_t> type_group;    ///< type -> its first group
+  };
+  /// The tables at `weights`' pue and gamma (refreshed when they change).
+  /// The spans stay valid until the context is destroyed or reassigned.
+  FleetTables tables(const SlotWeights& weights);
 
   /// Drop-in for `balance_loads`: reads levels/active counts of `alloc`,
   /// overwrites loads, handles the renewable kink.  Under kBitExact the
@@ -115,6 +139,8 @@ class LoadLpContext {
   /// arrays were built.  Returns false (caller rebuilds) when the class set
   /// changed or the diff is too large to be worth patching.
   bool try_patch_classes(const dc::Allocation& alloc);
+  /// Re-derive the pue/gamma-dependent tables when pue or gamma change;
+  /// the class arrays copied the old entries, so they are dropped too.
   void refresh_tables(const SlotWeights& weights);
   /// Table-driven replica of opt::evaluate(): identical expressions, check
   /// order and group-order summation (bit-for-bit), with the spec lookups
@@ -181,8 +207,8 @@ class LoadLpContext {
 
   // Per-(group, level) tables, flattened with group offsets.  `rate_table_`
   // and `dyn_slope_table_` come straight from the specs (built once);
-  // `slope_table_` (pue-scaled), `cap_table_` (gamma cap) and
-  // `bracket_denom_table_` refresh when pue/gamma change.
+  // `slope_table_` and `facility_static_table_` (pue-scaled), `cap_table_`
+  // (gamma cap) and `bracket_denom_table_` refresh when pue/gamma change.
   std::vector<std::size_t> level_offset_;
   std::vector<double> rate_table_;
   std::vector<double> dyn_slope_table_;
@@ -192,8 +218,12 @@ class LoadLpContext {
   std::vector<double> slope_table_;
   std::vector<double> cap_table_;
   std::vector<double> bracket_denom_table_;
+  std::vector<double> facility_static_table_;  ///< pue * static, per group
   double tables_pue_ = -1.0;
   double tables_gamma_ = -1.0;
+  // Server types (weights-independent, built with the tables).
+  std::vector<std::size_t> group_type_;
+  std::vector<std::size_t> type_group_;
 
   // SoA scratch for the active classes of the current solve.  While a
   // solve() is in flight the allocation's levels/active counts are fixed, so

@@ -6,9 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <optional>
 
+#include "baselines/carbon_unaware.hpp"
 #include "core/coca_controller.hpp"
+#include "core/rec_policy.hpp"
 #include "energy/tariff.hpp"
 #include "opt/exhaustive_solver.hpp"
 #include "opt/gsd.hpp"
@@ -240,54 +246,187 @@ TEST(Failures, GsdRunsOnDegradedFleet) {
   EXPECT_LE(result.best.outcome.objective, exact.outcome.objective * 1.02);
 }
 
-TEST(Failures, CocaSurvivesMidRunCapacityLoss) {
-  // A quarter of the fleet fails mid-run; the controller keeps its queue and
-  // continues on the degraded fleet (set_fleet hot-swap).
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Bit-for-bit equality of two slot solutions: allocation, outcome, regime
+/// and effective price.
+bool same_solution(const opt::SlotSolution& a, const opt::SlotSolution& b) {
+  if (a.alloc.size() != b.alloc.size()) return false;
+  for (std::size_t g = 0; g < a.alloc.size(); ++g) {
+    if (a.alloc[g].level != b.alloc[g].level ||
+        !same_bits(a.alloc[g].active, b.alloc[g].active) ||
+        !same_bits(a.alloc[g].load, b.alloc[g].load)) {
+      return false;
+    }
+  }
+  const auto& x = a.outcome;
+  const auto& y = b.outcome;
+  return same_bits(x.it_power_kw, y.it_power_kw) &&
+         same_bits(x.facility_power_kw, y.facility_power_kw) &&
+         same_bits(x.brown_kwh, y.brown_kwh) &&
+         same_bits(x.electricity_cost, y.electricity_cost) &&
+         same_bits(x.delay_jobs, y.delay_jobs) &&
+         same_bits(x.delay_cost, y.delay_cost) &&
+         same_bits(x.total_cost, y.total_cost) &&
+         same_bits(x.objective, y.objective) && x.feasible == y.feasible &&
+         x.infeasible_reason == y.infeasible_reason && a.regime == b.regime &&
+         same_bits(a.effective_price, b.effective_price) &&
+         a.feasible == b.feasible;
+}
+
+sim::Scenario failure_scenario() {
   sim::ScenarioConfig config;
   config.hours = 200;
   config.fleet.total_servers = 20'000;
   config.fleet.group_count = 8;
   config.peak_rate = 100'000.0;
-  const auto scenario = sim::build_scenario(config);
+  return sim::build_scenario(config);
+}
 
-  std::vector<std::size_t> failures(8, 0);
-  for (std::size_t g = 0; g < 2; ++g) {
-    failures[g] = scenario.fleet.group(g).server_count();
-  }
-  const auto degraded = dc::degraded_fleet(scenario.fleet, failures);
+/// A copy of `fleet` with groups 0 and 1 failed outright.
+dc::Fleet lose_first_two_groups(const dc::Fleet& fleet) {
+  std::vector<std::size_t> failures(fleet.group_count(), 0);
+  for (std::size_t g = 0; g < 2; ++g) failures[g] = fleet.group(g).server_count();
+  return dc::degraded_fleet(fleet, failures);
+}
 
+core::CocaConfig failure_coca_config(const sim::Scenario& scenario) {
   core::CocaConfig coca_config;
   coca_config.weights = scenario.weights;
   coca_config.schedule = core::VSchedule::constant(1e4);
   coca_config.alpha = scenario.budget.alpha();
   coca_config.rec_per_slot = scenario.budget.rec_per_slot();
-  core::CocaController controller(scenario.fleet, coca_config);
+  return coca_config;
+}
 
+struct FailureRun {
   double cost = 0.0;
   std::size_t infeasible = 0;
+};
+
+/// Runs `controller` for 200 slots: groups 0 and 1 fail at t = 100
+/// (set_fleet(degraded)) and return at t = 150 (set_fleet back).  Every plan
+/// must equal, bit for bit, a stateless ladder solve on the fleet active at
+/// that slot with the weights `weights_at()` reports right after the plan
+/// (the controller's V and q), so fleet-bound solver state can never lag a
+/// hot-swap.
+FailureRun run_failure_and_repair(
+    core::SlotController& controller, const sim::Scenario& scenario,
+    const dc::Fleet& degraded,
+    const std::function<opt::SlotWeights()>& weights_at) {
+  FailureRun run;
   for (std::size_t t = 0; t < 200; ++t) {
     if (t == 100) controller.set_fleet(degraded);
-    const dc::Fleet& active = t < 100 ? scenario.fleet : degraded;
+    if (t == 150) controller.set_fleet(scenario.fleet);
+    const bool down = t >= 100 && t < 150;
+    const dc::Fleet& active = down ? degraded : scenario.fleet;
     const opt::SlotInput input{scenario.env.workload[t],
                                scenario.env.onsite_kw[t],
                                scenario.env.price[t]};
     const auto plan = controller.plan(t, input);
+    EXPECT_TRUE(same_solution(
+        plan, opt::LadderSolver().solve(active, input, weights_at())))
+        << controller.name() << " slot " << t;
     if (!plan.feasible) {
-      ++infeasible;
+      ++run.infeasible;
       continue;
     }
-    // Dead groups must never carry load after the failure.
-    if (t >= 100) {
+    // Dead groups must never carry load while they are down.
+    if (down) {
       EXPECT_DOUBLE_EQ(plan.alloc[0].active, 0.0);
       EXPECT_DOUBLE_EQ(plan.alloc[1].active, 0.0);
     }
-    (void)active;
-    cost += plan.outcome.total_cost;
+    run.cost += plan.outcome.total_cost;
     controller.observe(t, plan.outcome, scenario.env.offsite_kwh[t]);
   }
-  EXPECT_EQ(infeasible, 0u);
-  EXPECT_GT(cost, 0.0);
+  return run;
+}
+
+TEST(Failures, CocaSurvivesMidRunCapacityLoss) {
+  // A quarter of the fleet fails mid-run and is repaired later; the
+  // controller keeps its queue and continues on whichever fleet is live
+  // (set_fleet hot-swap).
+  const auto scenario = failure_scenario();
+  const auto degraded = lose_first_two_groups(scenario.fleet);
+  const auto coca_config = failure_coca_config(scenario);
+
+  core::CocaController controller(scenario.fleet, coca_config);
+  const auto run = run_failure_and_repair(
+      controller, scenario, degraded, [&] {
+        opt::SlotWeights w = coca_config.weights;
+        w.V = 1e4;
+        w.q = controller.queue_length();
+        return w;
+      });
+  EXPECT_EQ(run.infeasible, 0u);
+  EXPECT_GT(run.cost, 0.0);
   EXPECT_GT(controller.queue().history().size(), 150u);
+
+  // The other ladder-driven controllers follow the fleet the same way.
+  core::RecMarketConfig market{
+      workload::Trace("rec", std::vector<double>(200, 0.01)), 0.0, 2'000.0};
+  core::DynamicRecCocaController dynamic(scenario.fleet, coca_config, market);
+  const auto dynamic_run = run_failure_and_repair(
+      dynamic, scenario, degraded, [&] {
+        opt::SlotWeights w = coca_config.weights;
+        w.V = 1e4;
+        w.q = dynamic.queue_length();
+        return w;
+      });
+  EXPECT_EQ(dynamic_run.infeasible, 0u);
+
+  baselines::CarbonUnawareController unaware(scenario.fleet, scenario.weights);
+  const auto unaware_run = run_failure_and_repair(
+      unaware, scenario, degraded, [&] {
+        opt::SlotWeights w = scenario.weights;
+        w.V = 1.0;
+        w.q = 0.0;
+        return w;
+      });
+  EXPECT_EQ(unaware_run.infeasible, 0u);
+}
+
+TEST(Failures, ControllersFollowAFleetReplacedInTheSameStorage) {
+  // A second fleet with different specs is built where the first one lived;
+  // solver state keyed by the fleet's address would go stale here.
+  const auto scenario = failure_scenario();
+  const auto coca_config = failure_coca_config(scenario);
+  std::optional<dc::Fleet> storage;
+  storage.emplace(dc::make_default_fleet({.total_servers = 20'000,
+                                          .group_count = 8,
+                                          .generations = 4}));
+  core::CocaController coca(*storage, coca_config);
+  baselines::CarbonUnawareController unaware(*storage, scenario.weights);
+  const opt::SlotInput input{scenario.env.workload[10],
+                             scenario.env.onsite_kw[10],
+                             scenario.env.price[10]};
+  opt::SlotWeights coca_weights = coca_config.weights;
+  coca_weights.V = 1e4;
+  opt::SlotWeights unaware_weights = scenario.weights;
+  unaware_weights.V = 1.0;
+  unaware_weights.q = 0.0;
+  for (const std::size_t generations : {4u, 8u, 2u}) {
+    SCOPED_TRACE(generations);
+    const dc::Fleet* before = &*storage;
+    storage.reset();
+    storage.emplace(dc::make_default_fleet({.total_servers = 24'000,
+                                            .group_count = 8,
+                                            .generations = generations,
+                                            .speed_spread = 0.3,
+                                            .power_spread = 0.2}));
+    ASSERT_EQ(&*storage, before);  // same address, different fleet
+    coca.set_fleet(*storage);
+    unaware.set_fleet(*storage);
+    const auto coca_plan = coca.plan(0, input);
+    coca_weights.q = coca.queue_length();
+    EXPECT_TRUE(same_solution(
+        coca_plan, opt::LadderSolver().solve(*storage, input, coca_weights)));
+    EXPECT_TRUE(same_solution(
+        unaware.plan(0, input),
+        opt::LadderSolver().solve(*storage, input, unaware_weights)));
+  }
 }
 
 }  // namespace

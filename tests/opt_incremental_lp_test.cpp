@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -489,6 +490,123 @@ TEST(IncrementalLp, WarmStartRegimeFlipFallsBackToReferenceOrder) {
   ASSERT_GE(ref_regimes.size(), 2u);
   EXPECT_GE(ctx.stats().regime_flips, 1);
   EXPECT_GE(ctx.stats().warm, 1);
+}
+
+// --- server types: the ladder's per-type market clearing ------------------
+
+std::vector<std::size_t> types_of(const dc::Fleet& fleet) {
+  LoadLpContext lp(fleet);
+  const auto tables = lp.tables(SlotWeights{});
+  return {tables.group_type.begin(), tables.group_type.end()};
+}
+
+TEST(ServerTypes, EqualSpecsShareATypeWhateverTheServerCount) {
+  const auto fleet = dc::make_default_fleet(
+      {.total_servers = 8'000, .group_count = 8, .generations = 4});
+  // Group 2 loses every server, groups 1 and 6 some of theirs.
+  const auto degraded =
+      dc::degraded_fleet(fleet, {0, 500, 1'000, 0, 0, 0, 999, 0});
+  ASSERT_EQ(degraded.group(2).server_count(), 0u);
+  LoadLpContext lp(degraded);
+  const auto tables = lp.tables(SlotWeights{});
+  ASSERT_EQ(tables.type_group.size(), 4u);
+  for (std::size_t t = 0; t < 4; ++t) EXPECT_EQ(tables.type_group[t], t);
+  for (std::size_t g = 0; g < 8; ++g) {
+    EXPECT_EQ(tables.group_type[g], g % 4) << "group " << g;
+    EXPECT_EQ(tables.servers[g],
+              static_cast<double>(degraded.group(g).server_count()));
+  }
+}
+
+TEST(ServerTypes, AnyValueTheClearingReadsSplitsAType) {
+  const auto reference = dc::ServerSpec::opteron2380();
+  const auto fleet_with = [&](const dc::ServerSpec& odd) {
+    std::vector<dc::ServerGroup> groups;
+    for (std::size_t g = 0; g < 4; ++g) {
+      groups.emplace_back(g == 2 ? odd : reference, 10);
+    }
+    return dc::Fleet(std::move(groups));
+  };
+  const double static_kw = reference.static_power_kw();
+  const auto levels = reference.levels();
+  const auto up = [](double x) {
+    return std::nextafter(x, std::numeric_limits<double>::infinity());
+  };
+
+  // The model name is not part of a type: an exact copy shares it.
+  EXPECT_EQ(types_of(fleet_with(dc::ServerSpec("copy", static_kw, levels))),
+            (std::vector<std::size_t>{0, 0, 0, 0}));
+
+  std::vector<dc::ServerSpec> variants;
+  auto rate = levels;
+  rate[1].service_rate = up(rate[1].service_rate);
+  variants.emplace_back("rate", static_kw, rate);
+  auto dynamic = levels;
+  dynamic[2].dynamic_power_kw = up(dynamic[2].dynamic_power_kw);
+  variants.emplace_back("dynamic", static_kw, dynamic);
+  variants.emplace_back("static", up(static_kw), levels);
+  auto fewer = levels;
+  fewer.pop_back();
+  variants.emplace_back("levels", static_kw, fewer);
+  for (const auto& odd : variants) {
+    SCOPED_TRACE(odd.model());
+    EXPECT_EQ(types_of(fleet_with(odd)),
+              (std::vector<std::size_t>{0, 0, 1, 0}));
+  }
+}
+
+TEST(ServerTypes, DefaultFleetHasOneTypePerGeneration) {
+  const auto fleet = dc::make_default_fleet(
+      {.total_servers = 40'000, .group_count = 40, .generations = 4});
+  const auto types = types_of(fleet);
+  ASSERT_EQ(types.size(), 40u);
+  for (std::size_t g = 0; g < 40; ++g) EXPECT_EQ(types[g], g % 4);
+  LoadLpContext lp(fleet);
+  EXPECT_EQ(lp.tables(SlotWeights{}).type_group.size(), 4u);
+}
+
+TEST(ServerTypes, DistinctGenerationsGiveOneTypePerGroup) {
+  const auto fleet = dc::make_default_fleet(
+      {.total_servers = 40'000, .group_count = 40, .generations = 40});
+  const auto types = types_of(fleet);
+  ASSERT_EQ(types.size(), 40u);
+  for (std::size_t g = 0; g < 40; ++g) EXPECT_EQ(types[g], g);
+}
+
+TEST(ServerTypes, TablesFollowPueAndKeepLaterSolvesExact) {
+  // The pue-scaled tables are the specs' expressions bit for bit, and
+  // reading them at a new pue between solves must not leave the class
+  // arrays on the old entries.
+  util::Rng rng(77);
+  const auto fleet = random_fleet(rng);
+  auto weights = random_weights(rng);
+  weights.beta = 0.01;
+  const double capacity =
+      dc::capped_capacity(fleet, full_alloc(fleet), weights.gamma);
+  const SlotInput input{0.6 * capacity, 0.0, 0.07};
+
+  LoadLpContext lp(fleet);
+  auto first = full_alloc(fleet);
+  lp.solve(first, input, weights);
+
+  SlotWeights other = weights;
+  other.pue = weights.pue + 0.25;
+  const auto tables = lp.tables(other);
+  for (std::size_t g = 0; g < fleet.group_count(); ++g) {
+    const auto& spec = fleet.group(g).spec();
+    EXPECT_EQ(tables.facility_static[g], other.pue * spec.static_power_kw());
+    for (std::size_t k = 0; k < spec.level_count(); ++k) {
+      const std::size_t i = tables.level_offset[g] + k;
+      EXPECT_EQ(tables.rate[i], spec.level(k).service_rate);
+      EXPECT_EQ(tables.facility_slope[i], other.pue * spec.dynamic_slope(k));
+    }
+  }
+
+  auto inc_alloc = full_alloc(fleet);
+  const auto inc = lp.solve(inc_alloc, input, other);
+  auto ref_alloc = full_alloc(fleet);
+  const auto ref = balance_loads(fleet, ref_alloc, input, other);
+  expect_bit_identical(ref, inc, ref_alloc, inc_alloc, "after tables()");
 }
 
 }  // namespace
