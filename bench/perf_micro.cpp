@@ -201,14 +201,13 @@ std::vector<double> run_v_sweep(const sim::Scenario& scenario,
 
 // ---------------------------------------------------------------------------
 // Incremental load-LP engine regression: replay one GSD-style single-flip
-// candidate chain three ways over identical allocations —
+// candidate chain two ways over identical allocations —
 //   reference     : opt::balance_loads per candidate (the seed baseline),
-//   incremental   : LoadLpContext, kBitExact (the sweep's default engine),
-//   warm_policy   : LoadLpContext, kWarmStart (documented-epsilon mode),
-// and record wall times plus the exactness verdicts.  `bit_identical` /
-// `warm_within_epsilon` are deterministic metas (bench_diff fails CI if the
-// engine ever drifts off the reference); `speedup_vs_reference` is timing
-// and ratio-gated by the bench-regression job via --timing-keys.
+//   incremental   : LoadLpContext (the sweep's engine),
+// and record wall times plus the exactness verdict.  `bit_identical` is a
+// deterministic meta (bench_diff fails CI if the engine ever drifts off the
+// reference); `speedup_vs_reference` is timing and ratio-gated by the
+// bench-regression job via --timing-keys.
 
 std::vector<dc::Allocation> gsd_candidate_chain(const sim::Scenario& scenario,
                                                 const opt::SlotInput& input,
@@ -218,7 +217,7 @@ std::vector<dc::Allocation> gsd_candidate_chain(const sim::Scenario& scenario,
   // plus one mutated group, capacity-short ones never reach the load LP
   // (the sweep's line-2 check filters them first — gsd.cpp), and worse
   // candidates are still accepted occasionally (the Gibbs exploration).
-  // Acceptance is seeded-deterministic so all three replay passes see one
+  // Acceptance is seeded-deterministic so both replay passes see one
   // sequence.
   util::Rng rng(1234);
   const auto& fleet = scenario.fleet;
@@ -280,7 +279,7 @@ void add_load_lp_regression(obs::BenchReport& report) {
     return std::chrono::duration<double, std::milli>(stop - start).count();
   };
 
-  // The three arms interleave inside each rep and report per-arm minima:
+  // The two arms interleave inside each rep and report per-arm minima:
   // the solver's work per rep is identical, so the fastest rep is the one
   // with the least scheduler/frequency interference and the best estimate
   // of the arm's true cost, and interleaving means an interference window
@@ -290,11 +289,8 @@ void add_load_lp_regression(obs::BenchReport& report) {
   std::vector<double> ref_objectives(chain.size());
   double reference_ms = std::numeric_limits<double>::infinity();
   double incremental_ms = std::numeric_limits<double>::infinity();
-  double warm_policy_ms = std::numeric_limits<double>::infinity();
-  std::size_t mismatches = 0;        // kBitExact must carry the exact bits
-  std::size_t epsilon_breaches = 0;  // kWarmStart: 1e-6 relative on objective
+  std::size_t mismatches = 0;  // the context must carry the exact bits
   opt::LoadLpStats exact_stats;
-  opt::LoadLpStats warm_stats;
   for (int rep = 0; rep < kReps; ++rep) {
     const double ref_ms = timed([&] {
       for (std::size_t i = 0; i < chain.size(); ++i) {
@@ -321,24 +317,6 @@ void add_load_lp_regression(obs::BenchReport& report) {
     incremental_ms = std::min(incremental_ms, inc_ms);
     total_ms += inc_ms;
     exact_stats = exact_ctx.stats();
-
-    opt::LoadLpContext warm_ctx(scenario.fleet, opt::LoadLpPolicy::kWarmStart);
-    const double warm_ms = timed([&] {
-      for (std::size_t i = 0; i < chain.size(); ++i) {
-        auto alloc = chain[i];
-        const auto result = warm_ctx.solve(alloc, input, weights);
-        const double scale = std::max(
-            {1.0, std::abs(ref_objectives[i]),
-             std::abs(result.outcome.objective)});
-        if (std::abs(result.outcome.objective - ref_objectives[i]) >
-            1e-6 * scale) {
-          ++epsilon_breaches;
-        }
-      }
-    });
-    warm_policy_ms = std::min(warm_policy_ms, warm_ms);
-    total_ms += warm_ms;
-    warm_stats = warm_ctx.stats();
   }
 
   obs::BenchResult result;
@@ -354,17 +332,12 @@ void add_load_lp_regression(obs::BenchReport& report) {
       static_cast<double>(scenario.fleet.group_count());
   result.meta["reference_ms"] = reference_ms;
   result.meta["incremental_ms"] = incremental_ms;
-  result.meta["warm_policy_ms"] = warm_policy_ms;
   result.meta["speedup_vs_reference"] =
       incremental_ms > 0.0 ? reference_ms / incremental_ms : 0.0;
-  result.meta["warm_speedup"] =
-      warm_policy_ms > 0.0 ? reference_ms / warm_policy_ms : 0.0;
   result.meta["bit_identical"] = mismatches == 0 ? 1.0 : 0.0;
-  result.meta["warm_within_epsilon"] = epsilon_breaches == 0 ? 1.0 : 0.0;
   result.meta["memo_hits"] = static_cast<double>(exact_stats.memo_hits);
   result.meta["warm_solves"] = static_cast<double>(exact_stats.warm);
   result.meta["cold_solves"] = static_cast<double>(exact_stats.cold);
-  result.meta["regime_flips"] = static_cast<double>(warm_stats.regime_flips);
   report.add(result);
 
   std::cout << "-- load_lp regression: " << chain.size()
@@ -374,10 +347,7 @@ void add_load_lp_regression(obs::BenchReport& report) {
             << "   incremental: " << incremental_ms << " ms ("
             << result.meta["speedup_vs_reference"]
             << "x, bit-identical: " << (mismatches == 0 ? "yes" : "NO")
-            << ")\n"
-            << "   warm policy: " << warm_policy_ms << " ms ("
-            << result.meta["warm_speedup"] << "x, within epsilon: "
-            << (epsilon_breaches == 0 ? "yes" : "NO") << ")\n\n";
+            << ")\n\n";
 }
 
 /// Per-stage span profile of a short GSD-engine run: where a COCA slot

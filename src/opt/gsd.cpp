@@ -99,7 +99,6 @@ GsdResult GsdSolver::solve(const dc::Fleet& fleet, const SlotInput& input,
     merged.lp_stats.warm += chain.lp_stats.warm;
     merged.lp_stats.cold += chain.lp_stats.cold;
     merged.lp_stats.memo_hits += chain.lp_stats.memo_hits;
-    merged.lp_stats.regime_flips += chain.lp_stats.regime_flips;
     merged.lp_stats.nu_iterations += chain.lp_stats.nu_iterations;
   }
   merged.chains_run = chains;
@@ -117,11 +116,12 @@ GsdResult GsdSolver::solve_chain(const dc::Fleet& fleet, const SlotInput& input,
   GsdResult result;
   util::Rng rng(seed);
 
-  // The chain's incremental load-LP engine: caches the dual point and the
-  // SoA response terms across candidate solves (one context per chain keeps
-  // the cache state — and so the warm/cold span counts — deterministic at
-  // any thread count).  It emits the load_lp_warm / load_lp_cold spans.
-  LoadLpContext lp(fleet, config_.lp_policy);
+  // The chain's incremental load-LP engine: caches the SoA class lanes and
+  // the solved-configuration memo across candidate solves (one context per
+  // chain keeps the cache state — and so the warm/cold span counts —
+  // deterministic at any thread count).  It emits the load_lp_warm /
+  // load_lp_cold spans.
+  LoadLpContext lp(fleet);
 
   // Initialization (line 1): a feasible starting configuration.
   dc::Allocation kept =

@@ -48,11 +48,6 @@ struct GsdConfig {
   /// Worker threads for multi-chain runs: 0 = one per chain (capped at the
   /// hardware), 1 = serial.  Has no effect on the merged result.
   int threads = 0;
-  /// Exactness policy of the per-chain incremental load-LP engine.  The
-  /// default keeps every argmin bit-identical to the reference
-  /// balance_loads; kWarmStart trades a documented epsilon (see
-  /// opt/load_lp.hpp) for warm-started nu/mu bisections.
-  LoadLpPolicy lp_policy = LoadLpPolicy::kBitExact;
 };
 
 struct GsdResult {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -339,8 +340,6 @@ bool LadderSolver::polish(const dc::Fleet& fleet, const SlotInput& input,
                           const SlotWeights& weights, SlotSolution& solution,
                           LoadLpContext& lp) const {
   bool improved = false;
-  std::vector<dc::Allocation> batch;
-  std::vector<LoadBalanceResult> balanced;
   for (std::size_t g = 0; g < fleet.group_count(); ++g) {
     const auto& group = fleet.group(g);
     const double servers = static_cast<double>(group.server_count());
@@ -349,37 +348,24 @@ bool LadderSolver::polish(const dc::Fleet& fleet, const SlotInput& input,
     const double current_active = solution.alloc[g].active;
     std::vector<double> counts = {current_active - step, current_active + step,
                                   0.0, servers};
-    // Batch-evaluate the whole (level, count) grid for this group.  Each
-    // candidate fully determines its solve (levels/counts are read, loads
-    // are overwritten), so evaluating upfront and replaying the sequential
-    // adopt/skip logic below reproduces the one-at-a-time loop bit-for-bit;
-    // mid-grid adoptions only change group g's entry, which every candidate
-    // overwrites anyway.
-    batch.clear();
+    // The current (level, count) is skipped only after its solve, so the
+    // context's span counts and memo cover the whole grid.
     for (std::size_t k = 0; k < group.spec().level_count(); ++k) {
       for (double count : counts) {
         count = std::clamp(count, 0.0, servers);
         if (config_.integer_counts) count = std::round(count);
-        batch.push_back(solution.alloc);
-        batch.back()[g].level = k;
-        batch.back()[g].active = count;
-      }
-    }
-    lp.solve_batch(batch, input, weights, balanced);
-    std::size_t idx = 0;
-    for (std::size_t k = 0; k < group.spec().level_count(); ++k) {
-      for (double count : counts) {
-        count = std::clamp(count, 0.0, servers);
-        if (config_.integer_counts) count = std::round(count);
-        const std::size_t i = idx++;
+        dc::Allocation candidate = solution.alloc;
+        candidate[g].level = k;
+        candidate[g].active = count;
+        const LoadBalanceResult balanced = lp.solve(candidate, input, weights);
         if (k == solution.alloc[g].level && count == current_active) continue;
-        if (balanced[i].feasible &&
-            balanced[i].outcome.objective <
+        if (balanced.feasible &&
+            balanced.outcome.objective <
                 solution.outcome.objective * (1.0 - 1e-10)) {
-          solution.alloc = batch[i];
-          solution.outcome = balanced[i].outcome;
-          solution.regime = balanced[i].regime;
-          solution.effective_price = balanced[i].effective_price;
+          solution.alloc = std::move(candidate);
+          solution.outcome = balanced.outcome;
+          solution.regime = balanced.regime;
+          solution.effective_price = balanced.effective_price;
           improved = true;
         }
       }

@@ -58,7 +58,7 @@ class LadderSolver {
   /// CarbonUnawareController each pass the context bound to their current
   /// fleet (rebuilt in set_fleet); the capped solvers reuse one across their
   /// multiplier bisections.  When omitted the solve builds its own.  Results
-  /// are bit-identical either way (kBitExact policy).
+  /// are bit-identical either way (the context reproduces balance_loads).
   SlotSolution solve(const dc::Fleet& fleet, const SlotInput& input,
                      const SlotWeights& weights,
                      LoadLpContext* lp = nullptr) const;
@@ -72,10 +72,8 @@ class LadderSolver {
                             LoadLpContext& lp) const;
 
   /// One local-search polish pass; returns true if it improved the solution.
-  /// The (group, level, count-step) grid is batch-evaluated through the
-  /// context, then the sequential adopt/skip logic is replayed — candidate
-  /// solves are independent of mid-pass adoptions (balance overwrites
-  /// loads), so the result is bit-identical to solve-then-adopt.
+  /// Each (group, level, count-step) candidate is solved through the context
+  /// and adopted at once when it lowers the objective.
   bool polish(const dc::Fleet& fleet, const SlotInput& input,
               const SlotWeights& weights, SlotSolution& solution,
               LoadLpContext& lp) const;

@@ -64,8 +64,7 @@ std::uint64_t fnv1a_alloc(const dc::Allocation& alloc) {
 
 }  // namespace
 
-LoadLpContext::LoadLpContext(const dc::Fleet& fleet, LoadLpPolicy policy)
-    : fleet_(&fleet), policy_(policy) {
+LoadLpContext::LoadLpContext(const dc::Fleet& fleet) : fleet_(&fleet) {
   const std::size_t groups = fleet.group_count();
   level_offset_.assign(groups + 1, 0);
   for (std::size_t g = 0; g < groups; ++g) {
@@ -120,21 +119,10 @@ LoadLpContext::LoadLpContext(const dc::Fleet& fleet, LoadLpPolicy policy)
   }
   cls_group_.reserve(groups);
   for (auto* v : {&cls_rate_, &cls_slope_, &cls_active_, &cls_cap_, &cls_denom_,
-                  &cls_stat_, &cls_dyn_, &cls_ms_, &cls_thr_, &cls_vbr_,
-                  &cls_ivbr_,
-                  &cls_resp_, &cls_load_}) {
+                  &cls_ms_, &cls_thr_, &cls_vbr_, &cls_resp_, &cls_load_}) {
     v->reserve(groups);
   }
   memo_slots_.assign(kMemoSlots, -1);
-}
-
-void LoadLpContext::invalidate() {
-  cache_valid_ = false;
-  cls_key_.clear();  // force a full class rebuild on the next solve
-  dirty_.clear();
-  dirty_all_ = true;
-  seed_valid_ = false;
-  memo_clear();
 }
 
 void LoadLpContext::refresh_tables(const SlotWeights& weights) {
@@ -169,52 +157,24 @@ bool LoadLpContext::try_patch_classes(const dc::Allocation& alloc) {
     const double lv = static_cast<double>(alloc[g].level);
     const double ac = alloc[g].active;
     if (cls_key_[2 * g] == lv && cls_key_[2 * g + 1] == ac) continue;
-    // Under the warm policy a group joining or leaving the active set is an
-    // ordinary patch: the lane flips between its live tables and the dead
-    // template.  The canonical policy compacts dead lanes away (its
-    // bisection pays ~33 gap evaluations per solve, so a shorter lane array
-    // beats patchability) and rebuilds on membership flips instead.  Large
-    // diffs: rebuilding is cheaper.
+    // A group joining or leaving the active set rebuilds: the lanes hold
+    // active classes only (the bisection pays ~33 gap evaluations per solve,
+    // so a shorter lane array beats patchability).  Large diffs: rebuilding
+    // is cheaper.
     const bool was_in = cls_key_[2 * g + 1] > kTiny;
     const bool now_in = ac > kTiny;
-    if (was_in != now_in && policy_ != LoadLpPolicy::kWarmStart) return false;
-    if (was_in || now_in) {
+    if (was_in != now_in) return false;
+    if (now_in) {
       if (++patched > 8) return false;
       const std::int32_t i = cls_index_[g];
-      if (seed_valid_) {
-        // Remove the lane's old contribution at the seed price.  cls_resp_
-        // still holds the response the seed capture evaluated — unless this
-        // lane already has a pending patch (no evaluation in between), in
-        // which case the lane is stale and the seed can't be maintained.
-        bool pending = false;
-        for (const std::int32_t d : dirty_) pending = pending || (d == i);
-        if (pending) {
-          seed_valid_ = false;
-        } else {
-          seed_delta_ -= cls_active_[i] * cls_resp_[i];
-          seed_gdelta_ -= cls_gl_[i];
-        }
-      }
-      if (now_in) {
-        const std::size_t slot = level_offset_[g] + alloc[g].level;
-        // Same expressions as the full build: the patched lane is
-        // bit-identical to what a rebuild would write.
-        cls_rate_[i] = rate_table_[slot];
-        cls_slope_[i] = slope_table_[slot];
-        cls_active_[i] = ac;
-        cls_cap_[i] = cap_table_[slot];
-        cls_denom_[i] = bracket_denom_table_[slot];
-        cls_stat_[i] = static_table_[g];
-        cls_dyn_[i] = dyn_kw_table_[slot];
-      } else {
-        cls_rate_[i] = 0.0;
-        cls_slope_[i] = 0.0;
-        cls_active_[i] = 0.0;
-        cls_cap_[i] = 0.0;
-        cls_denom_[i] = std::numeric_limits<double>::infinity();
-        cls_stat_[i] = 0.0;
-        cls_dyn_[i] = 0.0;
-      }
+      const std::size_t slot = level_offset_[g] + alloc[g].level;
+      // Same expressions as the full build: the patched lane is
+      // bit-identical to what a rebuild would write.
+      cls_rate_[i] = rate_table_[slot];
+      cls_slope_[i] = slope_table_[slot];
+      cls_active_[i] = ac;
+      cls_cap_[i] = cap_table_[slot];
+      cls_denom_[i] = bracket_denom_table_[slot];
       capacity_ready_ = false;
       if (!dirty_all_) dirty_.push_back(i);
     }
@@ -232,7 +192,6 @@ void LoadLpContext::build_classes(const dc::Allocation& alloc,
   cls_key_.clear();
   dirty_.clear();
   dirty_all_ = true;
-  seed_valid_ = false;
   capacity_ready_ = false;
   cls_group_.clear();
   cls_rate_.clear();
@@ -240,33 +199,12 @@ void LoadLpContext::build_classes(const dc::Allocation& alloc,
   cls_active_.clear();
   cls_cap_.clear();
   cls_denom_.clear();
-  cls_stat_.clear();
-  cls_dyn_.clear();
   cls_index_.assign(alloc.size(), -1);
   cls_key_.resize(2 * alloc.size());
   for (std::size_t g = 0; g < alloc.size(); ++g) {
     cls_key_[2 * g] = static_cast<double>(alloc[g].level);
     cls_key_[2 * g + 1] = alloc[g].active;
-    if (alloc[g].active <= kTiny) {
-      if (policy_ == LoadLpPolicy::kWarmStart) {
-        // Dead lane for an inactive group: zeroed tables make every kernel
-        // contribution an exact +0.0 and the bracket scans see thr = +inf /
-        // hib = 0, so the lane is bitwise-invisible to the solve — while
-        // membership changes stay patchable instead of forcing a rebuild
-        // (which would also drop the warm seed).  The canonical policy
-        // compacts them away; see try_patch_classes.
-        cls_index_[g] = static_cast<std::int32_t>(cls_group_.size());
-        cls_group_.push_back(g);
-        cls_rate_.push_back(0.0);
-        cls_slope_.push_back(0.0);
-        cls_active_.push_back(0.0);
-        cls_cap_.push_back(0.0);
-        cls_denom_.push_back(std::numeric_limits<double>::infinity());
-        cls_stat_.push_back(0.0);
-        cls_dyn_.push_back(0.0);
-      }
-      continue;
-    }
+    if (alloc[g].active <= kTiny) continue;
     cls_index_[g] = static_cast<std::int32_t>(cls_group_.size());
     cls_group_.push_back(g);
     const std::size_t slot = level_offset_[g] + alloc[g].level;
@@ -275,17 +213,13 @@ void LoadLpContext::build_classes(const dc::Allocation& alloc,
     cls_active_.push_back(alloc[g].active);
     cls_cap_.push_back(cap_table_[slot]);
     cls_denom_.push_back(bracket_denom_table_[slot]);
-    cls_stat_.push_back(static_table_[g]);
-    cls_dyn_.push_back(dyn_kw_table_[slot]);
   }
   const std::size_t n = cls_group_.size();
   cls_ms_.resize(n);
   cls_thr_.resize(n);
   cls_vbr_.resize(n);
-  cls_ivbr_.resize(n);
   cls_hib_.resize(n);
   cls_resp_.resize(n);
-  cls_gl_.resize(n);
   cls_load_.resize(n);
 }
 
@@ -329,68 +263,6 @@ double LoadLpContext::supply_gap(double nu, double lambda) {
   return total - lambda;
 }
 
-double LoadLpContext::supply_gap_grad(double nu, double lambda, double& grad) {
-  const std::size_t n = cls_group_.size();
-  const double* ms = cls_ms_.data();
-  const double* thr = cls_thr_.data();
-  const double* vbr = cls_vbr_.data();
-  const double* rate = cls_rate_.data();
-  const double* cap = cls_cap_.data();
-  const double* active = cls_active_.data();
-  double* resp = cls_resp_.data();
-  // Same response expressions as supply_gap (bit-identical resp lanes), plus
-  // the analytic derivative d(resp)/dnu = s / (2 * denom) with
-  // s = sqrt(vbr / denom) — the sqrt is already paid for the response, so
-  // the gradient lane costs one divide.  Clamped and unselected lanes have
-  // zero slope.
-  double* gl = cls_gl_.data();
-  const double* ivbr = cls_ivbr_.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double denom = std::max(nu - ms[i], kDenomFloor);
-    const double q = vbr[i] / denom;
-    const double s = std::sqrt(q);
-    const double raw = rate[i] - s;
-    const double a = std::min(std::max(raw, 0.0), cap[i]);
-    const bool on = nu > thr[i];
-    resp[i] = on ? a : 0.0;
-    // Non-short-circuit select: keeps the loop free of control flow so it
-    // vectorizes alongside the response lanes.  The slope s/(2*denom) is
-    // rewritten divide-free as 0.5*s*q/vbr via the precomputed reciprocal
-    // (s/denom == s*q/vbr exactly in the reals): the gradient only steers
-    // Newton iterates, so the rounding difference is irrelevant, and the
-    // loop drops from three divider-unit ops per lane to two.  Dead lanes
-    // (vbr == 0, ivbr == inf) evaluate 0*inf = NaN in the unselected arm,
-    // which the select discards.
-    const bool sloped = on & (raw > 0.0) & (raw < cap[i]);
-    gl[i] = sloped ? active[i] * (0.5 * s * q * ivbr[i]) : 0.0;
-  }
-  // The reductions here only steer the warm Newton iterates (the canonical
-  // path reduces in class order inside supply_gap), so four partial sums
-  // break the serial FP dependency chain; the iterate lands within ulps of
-  // the in-order sum, well inside the clearing tolerance.
-  double g0 = 0.0, g1 = 0.0, g2 = 0.0, g3 = 0.0;
-  double t0 = 0.0, t1 = 0.0, t2 = 0.0, t3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    g0 += gl[i];
-    g1 += gl[i + 1];
-    g2 += gl[i + 2];
-    g3 += gl[i + 3];
-    t0 += active[i] * resp[i];
-    t1 += active[i + 1] * resp[i + 1];
-    t2 += active[i + 2] * resp[i + 2];
-    t3 += active[i + 3] * resp[i + 3];
-  }
-  double g = (g0 + g1) + (g2 + g3);
-  double total = (t0 + t1) + (t2 + t3);
-  for (; i < n; ++i) {
-    g += gl[i];
-    total += active[i] * resp[i];
-  }
-  grad = g;
-  return total - lambda;
-}
-
 void LoadLpContext::settle_residual(double lambda) {
   // Mirrors the reference settle_residual pass-for-pass.
   const std::size_t n = cls_group_.size();
@@ -417,14 +289,10 @@ void LoadLpContext::settle_residual(double lambda) {
 }
 
 void LoadLpContext::greedy_fill(double lambda, double mu) {
-  const std::size_t n = cls_group_.size();
-  // Only live lanes enter the sort: the input sequence then matches the
-  // reference's class list element-for-element, so the (unstable) sort
-  // produces the identical permutation and the identical fill order.
-  order_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (cls_active_[i] > kTiny) order_.push_back(i);
-  }
+  // The lanes are the reference's class list element-for-element, so the
+  // (unstable) sort produces the identical permutation and fill order.
+  order_.resize(cls_group_.size());
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
   std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
     return mu * cls_slope_[a] < mu * cls_slope_[b];
   });
@@ -445,8 +313,7 @@ void LoadLpContext::scatter_loads(dc::Allocation& alloc) const {
 }
 
 double LoadLpContext::solve_linear_built(double lambda, double mu,
-                                         const SlotWeights& weights,
-                                         double warm_nu) {
+                                         const SlotWeights& weights) {
   const std::size_t n = cls_group_.size();
   if (built_capacity() < lambda * (1.0 - 1e-9)) return -1.0;
 
@@ -455,26 +322,17 @@ double LoadLpContext::solve_linear_built(double lambda, double mu,
   double nu = 0.0;
   if (v_beta <= kTiny) {
     greedy_fill(lambda, mu);
-    seed_valid_ = false;  // loads set directly; no dual point to seed from
   } else {
     // Per-solve invariants, hoisted out of the bisection.  They depend only
     // on (class tables, mu, V*beta), so after a single-group patch at an
     // unchanged price only the dirty lanes recompute; the bracket bounds are
     // then a divide-free min/max scan.  min/max are order-insensitive, so
     // the scan is bit-identical to the reference's fused loop.
-    // The seed is usable only when the gap function is unchanged apart from
-    // the patched lanes: same invariants (mu, V*beta), same lambda, and a
-    // positive captured gradient for the Newton step.
-    const bool inv_fresh = !dirty_all_ && mu == inv_mu_ && v_beta == inv_vbeta_;
-    const bool seed_ok = policy_ == LoadLpPolicy::kWarmStart && seed_valid_ &&
-                         inv_fresh && lambda == seed_lambda_ &&
-                         seed_grad_ > 0.0;
     if (dirty_all_ || !(mu == inv_mu_ && v_beta == inv_vbeta_)) {
       for (std::size_t i = 0; i < n; ++i) {
         cls_ms_[i] = mu * cls_slope_[i];
         cls_thr_[i] = cls_ms_[i] + v_beta / cls_rate_[i];
         cls_vbr_[i] = v_beta * cls_rate_[i];
-        cls_ivbr_[i] = 1.0 / cls_vbr_[i];
         cls_hib_[i] = cls_ms_[i] + v_beta / cls_denom_[i];
       }
       dirty_all_ = false;
@@ -485,24 +343,7 @@ double LoadLpContext::solve_linear_built(double lambda, double mu,
         cls_ms_[i] = mu * cls_slope_[i];
         cls_thr_[i] = cls_ms_[i] + v_beta / cls_rate_[i];
         cls_vbr_[i] = v_beta * cls_rate_[i];
-        cls_ivbr_[i] = 1.0 / cls_vbr_[i];
         cls_hib_[i] = cls_ms_[i] + v_beta / cls_denom_[i];
-      }
-    }
-    if (seed_ok) {
-      // Add the patched lanes' new contributions at the seed price (their
-      // invariants were just refreshed above).  Same response expressions as
-      // supply_gap; exactness is irrelevant here — this only steers the
-      // Newton starting iterate.
-      for (const std::int32_t i : dirty_) {
-        const double denom = std::max(seed_nu_ - cls_ms_[i], kDenomFloor);
-        const double s = std::sqrt(cls_vbr_[i] / denom);
-        const double raw = cls_rate_[i] - s;
-        const double a = std::min(std::max(raw, 0.0), cls_cap_[i]);
-        const bool on = seed_nu_ > cls_thr_[i];
-        seed_delta_ += cls_active_[i] * (on ? a : 0.0);
-        const bool sloped = on && raw > 0.0 && raw < cls_cap_[i];
-        seed_gdelta_ += sloped ? cls_active_[i] * (s / (2.0 * denom)) : 0.0;
       }
     }
     dirty_.clear();
@@ -517,95 +358,13 @@ double LoadLpContext::solve_linear_built(double lambda, double mu,
     options.x_tol = std::max(1e-14, (hi - lo) * 1e-13);
     options.f_tol = 1e-9 * std::max(1.0, lambda);
     options.max_iterations = 200;
-    double last_eval = std::numeric_limits<double>::quiet_NaN();
-    double last_fx = 0.0;
-    double last_grad = 0.0;
-    bool cleared = false;
-    if (policy_ == LoadLpPolicy::kWarmStart && warm_nu > 0.0) {
-      // Bracket-safeguarded Newton from the cached clearing price.  The gap
-      // is monotone nondecreasing in nu, so each iterate shrinks the
-      // canonical bracket; the Newton step (analytic derivative from the
-      // fused kernel) converges in a few evaluations from a single-flip-away
-      // start, and any step that leaves the bracket degrades to a midpoint.
-      // Same f_tol clearing criterion as the canonical bisection.
-      double a = lo;
-      double b = hi;
-      double x = std::min(std::max(warm_nu, lo), hi);
-      if (seed_ok) {
-        // One Newton step taken analytically, before any gap evaluation:
-        // seed_fx_ + seed_delta_ is the gap at seed_nu_ under the *patched*
-        // classes (up to reduction-order ulps), and the gradient gets the
-        // same per-lane correction.
-        const double g = seed_grad_ + seed_gdelta_;
-        if (g > 0.0) {
-          const double step = seed_nu_ - (seed_fx_ + seed_delta_) / g;
-          if (step > lo && step < hi) x = step;
-        }
-      }
-      for (int i = 0; i < options.max_iterations; ++i) {
-        double grad = 0.0;
-        const double fx = supply_gap_grad(x, lambda, grad);
-        last_eval = x;
-        last_fx = fx;
-        last_grad = grad;
-        ++stats_.nu_iterations;
-        if (std::abs(fx) <= options.f_tol) {
-          cleared = true;
-          break;
-        }
-        if (fx < 0.0) {
-          a = x;
-        } else {
-          b = x;
-        }
-        if ((b - a) <= options.x_tol) {
-          cleared = true;
-          break;
-        }
-        const double step = grad > 0.0 ? x - fx / grad : a;
-        x = (step > a && step < b) ? step : 0.5 * (a + b);
-      }
-      nu = x;
-      cleared = true;  // max_iterations exhausts to the last iterate
-    }
-    if (!cleared) {
-      auto gap = [&](double price) { return supply_gap(price, lambda); };
-      const auto result = util::bisect(gap, lo, hi, options);
-      stats_.nu_iterations += result.iterations;
-      nu = result.x;
-    }
-    // Leave cls_resp_ at the clearing price.  When the last gap evaluation
-    // was already at nu (the Newton loop always ends there) the arrays hold
-    // exactly the values a re-evaluation would write — skip it.  The
-    // canonical branch always re-evaluates (reference order).  Under the
-    // warm policy, re-arm the analytic seed at this clearing: the Newton
-    // break already has (fx, grad); the canonical refresh swaps supply_gap
-    // for supply_gap_grad, whose response lanes are the identical
-    // expressions (bit-for-bit the same cls_resp_), to pick up the gradient.
-    seed_valid_ = false;
-    seed_delta_ = 0.0;
-    seed_gdelta_ = 0.0;
-    if (cleared && last_eval == nu) {
-      if (policy_ == LoadLpPolicy::kWarmStart && last_grad > 0.0) {
-        seed_valid_ = true;
-        seed_nu_ = nu;
-        seed_fx_ = last_fx;
-        seed_grad_ = last_grad;
-        seed_lambda_ = lambda;
-      }
-    } else if (policy_ == LoadLpPolicy::kWarmStart) {
-      double grad = 0.0;
-      const double fx = supply_gap_grad(nu, lambda, grad);
-      if (grad > 0.0) {
-        seed_valid_ = true;
-        seed_nu_ = nu;
-        seed_fx_ = fx;
-        seed_grad_ = grad;
-        seed_lambda_ = lambda;
-      }
-    } else {
-      supply_gap(nu, lambda);
-    }
+    auto gap = [&](double price) { return supply_gap(price, lambda); };
+    const auto result = util::bisect(gap, lo, hi, options);
+    stats_.nu_iterations += result.iterations;
+    nu = result.x;
+    // Re-evaluate the responses at the clearing price, as the reference's
+    // load pass does.
+    supply_gap(nu, lambda);
     for (std::size_t i = 0; i < n; ++i) {
       cls_load_[i] = cls_active_[i] * cls_resp_[i];
     }
@@ -619,7 +378,7 @@ double LoadLpContext::solve_linear(dc::Allocation& alloc, double lambda,
   for (auto& a : alloc) a.load = 0.0;
   if (lambda <= kTiny) return 0.0;
   build_classes(alloc, weights);
-  const double nu = solve_linear_built(lambda, mu, weights, 0.0);
+  const double nu = solve_linear_built(lambda, mu, weights);
   if (nu < 0.0) return nu;
   scatter_loads(alloc);
   return nu;
@@ -702,72 +461,6 @@ SlotOutcome LoadLpContext::outcome_at(const dc::Allocation& alloc,
   return out;
 }
 
-SlotOutcome LoadLpContext::outcome_from_classes(const dc::Allocation& alloc,
-                                                const SlotInput& input,
-                                                const SlotWeights& weights) const {
-  // See the declaration comment.  Lanes cover every group in group order
-  // (warm policy keeps dead lanes), so the in-order sums below visit groups
-  // exactly as outcome_at does; dead and zero-load lanes contribute an exact
-  // +0.0, which is bitwise-neutral in these nonnegative accumulations.
-  const std::size_t n = cls_group_.size();
-  if (n != alloc.size() || weights.gamma <= 0.0 || weights.gamma >= 1.0) {
-    return outcome_at(alloc, input, weights);
-  }
-  constexpr double kTol = 1e-6;
-  const double* active = cls_active_.data();
-  const double* load = cls_load_.data();
-  const double* rate = cls_rate_.data();
-  const double* cap = cls_cap_.data();
-  const double* stat = cls_stat_.data();
-  const double* dyn = cls_dyn_.data();
-  double served = 0.0;
-  for (std::size_t i = 0; i < n; ++i) served += load[i];
-  if (std::abs(served - input.lambda) >
-      1e-6 * std::max(1.0, input.lambda) + 1e-6) {
-    return evaluate(*fleet_, alloc, input, weights);  // sets the reason
-  }
-  double it = 0.0;
-  double delay_jobs = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (active[i] == 0.0) {
-      if (load[i] > 0.0) return evaluate(*fleet_, alloc, input, weights);
-      continue;  // exact 0.0 contribution, like the reference
-    }
-    // outcome_at's cap check, same expression shape: cls_cap_ is
-    // gamma * rate, so (gamma * rate) * active reproduces its product order.
-    if (load[i] > cap[i] * active[i] * (1.0 + 1e-6) + kTol) {
-      return evaluate(*fleet_, alloc, input, weights);
-    }
-    const double per = load[i] / active[i];
-    if (per > rate[i] * (1.0 + 1e-9)) {
-      return evaluate(*fleet_, alloc, input, weights);  // reference throws
-    }
-    it += active[i] * (stat[i] + dyn[i] * (per / rate[i]));
-    if (load[i] > 0.0) {
-      delay_jobs += per >= rate[i] ? std::numeric_limits<double>::infinity()
-                                   : active[i] * per / (rate[i] - per);
-    }
-  }
-  SlotOutcome out;
-  const double slot_h = weights.slot_hours;
-  const double facility = weights.pue * it;
-  const double brown = std::max(0.0, facility - input.onsite_kw) * slot_h;
-  const double electricity = brown * input.price;
-  out.delay_jobs = delay_jobs;
-  const double delay = (weights.beta * delay_jobs) * slot_h;
-  const double total = electricity + delay;
-  out.it_power_kw = it;
-  out.facility_power_kw = facility;
-  out.brown_kwh = brown;
-  out.electricity_cost = electricity;
-  out.delay_cost = delay;
-  out.total_cost = total;
-  out.objective = weights.V * total + weights.q * brown +
-                  weights.power_price * facility * slot_h;
-  out.feasible = true;
-  return out;
-}
-
 double LoadLpContext::facility_kw_at(const dc::Allocation& alloc,
                                      const SlotWeights& weights) const {
   // allocation_facility_kw = pue * it_power_kw; the summation below keeps
@@ -804,9 +497,9 @@ double LoadLpContext::facility_kw_at(const dc::Allocation& alloc,
   return weights.pue * it;
 }
 
-LoadBalanceResult LoadLpContext::solve_cold(dc::Allocation& alloc,
-                                            const SlotInput& input,
-                                            const SlotWeights& weights) {
+LoadBalanceResult LoadLpContext::solve_kinked(dc::Allocation& alloc,
+                                              const SlotInput& input,
+                                              const SlotWeights& weights) {
   // Reference-order regime sequence: identical decisions, brackets and
   // tolerances to balance_loads().
   LoadBalanceResult result;
@@ -867,127 +560,6 @@ LoadBalanceResult LoadLpContext::solve_cold(dc::Allocation& alloc,
   return result;
 }
 
-LoadBalanceResult LoadLpContext::solve_warm(dc::Allocation& alloc,
-                                            const SlotInput& input,
-                                            const SlotWeights& weights) {
-  // Re-check the cached regime branch first; on success only that branch's
-  // linear solve runs (warm-bracketed from the cached nu).  A failed check
-  // means the candidate crossed the [p - r]^+ kink: count the flip and fall
-  // back to the reference-order cold sequence.
-  const double mu_full = weights.brown_price(input.price);
-  LoadBalanceResult result;
-
-  if (cached_regime_ == PowerRegime::kGridDraw) {
-    for (auto& a : alloc) a.load = 0.0;
-    if (input.lambda > kTiny) {
-      build_classes(alloc, weights);
-      const double nu = solve_linear_built(input.lambda, mu_full, weights,
-                                           cached_nu_);
-      if (nu < 0.0) {
-        result.outcome = outcome_at(alloc, input, weights);
-        result.outcome.infeasible_reason = "active capacity below lambda";
-        return result;
-      }
-      scatter_loads(alloc);
-      // Fused check-and-outcome, as in the cold sequence.
-      SlotOutcome out_a = outcome_from_classes(alloc, input, weights);
-      const double power_a = out_a.feasible ? out_a.facility_power_kw
-                                            : facility_kw_at(alloc, weights);
-      if (power_a >= input.onsite_kw * (1.0 - 1e-9)) {
-        result.feasible = true;
-        result.regime = PowerRegime::kGridDraw;
-        result.nu = nu;
-        result.effective_price = mu_full;
-        result.outcome = std::move(out_a);
-        return result;
-      }
-      ++stats_.regime_flips;
-      return solve_cold(alloc, input, weights);
-    }
-    return solve_cold(alloc, input, weights);
-  }
-
-  if (cached_regime_ == PowerRegime::kRenewable) {
-    const double mu_floor = weights.power_price;
-    double nu = 0.0;
-    for (auto& a : alloc) a.load = 0.0;
-    if (input.lambda > kTiny) {
-      build_classes(alloc, weights);
-      nu = solve_linear_built(input.lambda, mu_floor, weights, cached_nu_);
-      if (nu >= 0.0) scatter_loads(alloc);
-    }
-    if (nu >= 0.0) {
-      SlotOutcome out_b = outcome_from_classes(alloc, input, weights);
-      const double power_b = out_b.feasible ? out_b.facility_power_kw
-                                            : facility_kw_at(alloc, weights);
-      if (power_b <= input.onsite_kw * (1.0 + 1e-9)) {
-        result.feasible = true;
-        result.regime = PowerRegime::kRenewable;
-        result.nu = nu;
-        result.effective_price = mu_floor;
-        result.outcome = std::move(out_b);
-        return result;
-      }
-    }
-    ++stats_.regime_flips;
-    return solve_cold(alloc, input, weights);
-  }
-
-  // kBoundary: warm the outer mu bisection around the cached effective
-  // price.  Facility power is nonincreasing in mu, so the gap (power -
-  // onsite) must be >= 0 at the lower end and <= 0 at the upper end for the
-  // pin to stay inside the warm window.
-  const double mu_floor = weights.power_price;
-  double wlo = std::max(mu_floor, cached_mu_ * 0.5);
-  double whi = std::min(mu_full, cached_mu_ * 2.0);
-  // Each inner clearing warms from the previous one's nu — nu(mu) is
-  // continuous, so consecutive outer iterates share tight brackets.
-  double last_nu = cached_nu_;
-  auto warm_linear = [&](double mu) {
-    for (auto& a : alloc) a.load = 0.0;
-    if (input.lambda <= kTiny) return 0.0;
-    build_classes(alloc, weights);
-    const double nu =
-        solve_linear_built(input.lambda, mu, weights, last_nu);
-    if (nu >= 0.0) {
-      last_nu = nu;
-      scatter_loads(alloc);
-    }
-    return nu;
-  };
-  auto power_gap = [&](double mu) {
-    warm_linear(mu);
-    return facility_kw_at(alloc, weights) - input.onsite_kw;
-  };
-  if (!(wlo < whi) || warm_linear(mu_full) < 0.0) {
-    // Degenerate window or infeasible capacity: reference order handles it.
-    return solve_cold(alloc, input, weights);
-  }
-  if (facility_kw_at(alloc, weights) >=
-      input.onsite_kw * (1.0 - 1e-9)) {
-    // The full-price solution now draws grid power: regime flipped to A.
-    ++stats_.regime_flips;
-    return solve_cold(alloc, input, weights);
-  }
-  if (power_gap(wlo) < 0.0 || power_gap(whi) > 0.0) {
-    // The pin left the warm window (possibly all the way to regime B).
-    ++stats_.regime_flips;
-    return solve_cold(alloc, input, weights);
-  }
-  util::BisectionOptions options;
-  options.x_tol = std::max(1e-12, mu_full * 1e-10);
-  options.f_tol = 1e-6 * std::max(1.0, input.onsite_kw);
-  options.max_iterations = 100;
-  const auto boundary = util::bisect(power_gap, wlo, whi, options);
-  const double nu = warm_linear(boundary.x);
-  result.feasible = true;
-  result.regime = PowerRegime::kBoundary;
-  result.nu = nu;
-  result.effective_price = boundary.x;
-  result.outcome = outcome_from_classes(alloc, input, weights);
-  return result;
-}
-
 bool LoadLpContext::cache_valid_for(const SlotInput& input,
                                     const SlotWeights& weights) const {
   return cache_valid_ && cached_input_.lambda == input.lambda &&
@@ -999,25 +571,6 @@ bool LoadLpContext::cache_valid_for(const SlotInput& input,
          cached_weights_.pue == weights.pue &&
          cached_weights_.slot_hours == weights.slot_hours &&
          cached_weights_.power_price == weights.power_price;
-}
-
-void LoadLpContext::remember(const dc::Allocation& alloc,
-                             const SlotInput& input, const SlotWeights& weights,
-                             const LoadBalanceResult& result) {
-  (void)alloc;
-  const bool had_point = cache_valid_ && cached_feasible_;
-  cache_valid_ = true;
-  cached_input_ = input;
-  cached_weights_ = weights;
-  // An infeasible solve carries no dual information — keep the slot's last
-  // feasible (nu, mu, regime) point so the next feasible candidate still
-  // warms from it instead of falling back to the canonical bracket.
-  if (result.feasible || !had_point) {
-    cached_nu_ = result.nu;
-    cached_mu_ = result.effective_price;
-    cached_regime_ = result.regime;
-    cached_feasible_ = result.feasible;
-  }
 }
 
 void LoadLpContext::memo_clear() {
@@ -1115,36 +668,13 @@ LoadBalanceResult LoadLpContext::solve(dc::Allocation& alloc,
   // (including the boundary regime's per-mu re-clears) short-circuit.
   build_classes(alloc, weights);
   classes_ready_ = true;
-
-  // Capacity pre-check with the exact reference predicate: capacity-short
-  // candidates exit through the cold sequence's own (identical) check
-  // without touching the warm machinery.
-  bool capacity_short = false;
-  if (input.lambda > kTiny) {
-    capacity_short = built_capacity() < input.lambda * (1.0 - 1e-9);
-  }
-
-  const LoadBalanceResult result =
-      (warm && !capacity_short && policy_ == LoadLpPolicy::kWarmStart)
-          ? solve_warm(alloc, input, weights)
-          : solve_cold(alloc, input, weights);
+  const LoadBalanceResult result = solve_kinked(alloc, input, weights);
   classes_ready_ = false;
-  remember(alloc, input, weights, result);
+  cache_valid_ = true;
+  cached_input_ = input;
+  cached_weights_ = weights;
   memo_store(hash, result, alloc);
   return result;
-}
-
-// OBS-EXEMPT(pure delegation; every inner solve opens its own span)
-// Each solve() below emits load_lp_warm/load_lp_cold, which is the
-// granularity the span profile pins.
-void LoadLpContext::solve_batch(std::vector<dc::Allocation>& candidates,
-                                const SlotInput& input,
-                                const SlotWeights& weights,
-                                std::vector<LoadBalanceResult>& results) {
-  results.resize(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    results[i] = solve(candidates[i], input, weights);
-  }
 }
 
 }  // namespace coca::opt

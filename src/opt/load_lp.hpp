@@ -1,5 +1,5 @@
 #pragma once
-// Incremental, batched load-LP engine for the per-slot sweeps.
+// Incremental load-LP engine for the per-slot sweeps.
 //
 // `balance_loads` (opt/load_balancer.hpp) is the *reference* dual
 // water-filling solver: it rebuilds the active server classes, re-derives the
@@ -16,38 +16,29 @@
 //   * the fleet's server types — groups whose level tables are bitwise
 //     equal — so the ladder's market clearing evaluates one best response
 //     per type instead of per group (tables() exposes both to the ladder);
-//   * SoA (structure-of-arrays) scratch for the active classes, so the
+//   * SoA (structure-of-arrays) lanes for the active classes, so the
 //     clamp/sqrt best response evaluates element-wise over contiguous arrays
-//     and vectorizes (the per-class invariants mu*c, V*beta/x and V*beta*x
-//     are hoisted out of the bisection loop);
-//   * the dual point of the last solve — clearing price nu, regime branch,
-//     effective price mu — keyed by the (input, weights) pair;
-//   * an exact memo of previously solved configurations, so re-evaluating
-//     the kept configuration (GSD line 8) is a lookup, not a solve.
+//     and vectorizes.  A candidate that changes a few active groups patches
+//     their lanes in place, and the per-class invariants mu*c, V*beta/x and
+//     V*beta*x are recomputed only for the patched lanes;
+//   * an exact memo of previously solved configurations, keyed by the
+//     allocation and valid while (input, weights) stay the same, so
+//     re-evaluating the kept configuration (GSD line 8) is a lookup, not a
+//     solve.
 //
-// Exactness policy — the whole engine is gated on it explicitly:
-//   * kBitExact (default): every result is bit-for-bit identical to the
-//     reference `balance_loads`.  The canonical bracket, tolerances and
-//     iteration order are preserved; only the memory layout, the hoisted
-//     invariants (identical expressions, evaluated once) and the exact memo
-//     differ.  GSD argmins, traces and goldens are unchanged.
-//   * kWarmStart: documented-epsilon mode.  The nu clearing re-solves from
-//     the cached dual point with a bracket-safeguarded Newton iteration —
-//     the gap's analytic derivative rides the same fused SoA pass, so a few
-//     gap evaluations replace the ~45-step canonical bisection — and the
-//     [p - r]^+ kink regime is
-//     revalidated cheaply by re-checking the cached branch first, with a
-//     full reference-order re-solve as the fallback when the regime flips.
-//     Results agree with the reference to the clearing tolerance (relative
-//     ~1e-9 on the served load; objectives agree to ~1e-6 relative — see
-//     DESIGN.md "Incremental dual-point cache").
+// Every result is bit-for-bit identical to the reference `balance_loads`:
+// the canonical bracket, tolerances, regime order and iteration order are
+// preserved; only the memory layout, the hoisted invariants (identical
+// expressions, evaluated once) and the exact memo differ.  GSD argmins,
+// traces and goldens do not depend on whether a context is reused.
 //
 // Every solve is wrapped in a `load_lp_warm` or `load_lp_cold` span:
-// warm = the cached dual point was valid for this (input, weights) pair
-// (i.e. any solve after the first of a slot), cold = first solve or an
-// input/weights change invalidated the cache.  Span counts stay a pure
-// function of the inputs (contexts are per chain or per controller, never
-// shared across threads), preserving the repo-wide determinism contract.
+// warm = same (input, weights) as the previous solve, so the memo was
+// consulted (i.e. any solve after the first of a slot), cold = first solve
+// or an input/weights change, which clears the memo.  Span counts stay a
+// pure function of the inputs (contexts are per chain or per controller,
+// never shared across threads), preserving the repo-wide determinism
+// contract.
 
 #include <cstdint>
 #include <limits>
@@ -59,19 +50,14 @@
 
 namespace coca::opt {
 
-/// Exactness contract of the incremental engine (see file comment).
-enum class LoadLpPolicy {
-  kBitExact,   ///< bit-for-bit identical to the reference balance_loads
-  kWarmStart,  ///< warm nu/mu brackets; documented epsilon vs the reference
-};
-
 /// Deterministic counters (pure function of the solve sequence).
 struct LoadLpStats {
   std::int64_t solves = 0;        ///< kinked solves (solve() calls)
-  std::int64_t warm = 0;          ///< solves with a valid cached dual point
-  std::int64_t cold = 0;          ///< solves that started from scratch
+  /// Solves with the same (input, weights) as the previous one, so the memo
+  /// was consulted.
+  std::int64_t warm = 0;
+  std::int64_t cold = 0;          ///< first solve, or input/weights changed
   std::int64_t memo_hits = 0;     ///< exact-duplicate configurations
-  std::int64_t regime_flips = 0;  ///< warm regime invalidated -> fallback
   std::int64_t nu_iterations = 0; ///< total inner bisection iterations
 };
 
@@ -80,8 +66,7 @@ struct LoadLpStats {
 /// controllers each own one for their fleet and rebuild it in set_fleet.
 class LoadLpContext {
  public:
-  explicit LoadLpContext(const dc::Fleet& fleet,
-                         LoadLpPolicy policy = LoadLpPolicy::kBitExact);
+  explicit LoadLpContext(const dc::Fleet& fleet);
 
   /// Read-only view of the fleet tables.  Group g's level k is entry
   /// `level_offset[g] + k` of the per-level spans.  A server type is a set
@@ -103,29 +88,16 @@ class LoadLpContext {
   FleetTables tables(const SlotWeights& weights);
 
   /// Drop-in for `balance_loads`: reads levels/active counts of `alloc`,
-  /// overwrites loads, handles the renewable kink.  Under kBitExact the
-  /// result is bit-identical to the reference.
+  /// overwrites loads, handles the renewable kink.  The result is
+  /// bit-identical to the reference.
   LoadBalanceResult solve(dc::Allocation& alloc, const SlotInput& input,
                           const SlotWeights& weights);
 
-  /// Drop-in for `balance_loads_linear` (fixed effective price mu, no kink).
-  /// Always canonical (bit-exact); the warm policy only affects solve().
+  /// Drop-in for `balance_loads_linear` (fixed effective price mu, no kink),
+  /// bit-identical to the reference.
   double solve_linear(dc::Allocation& alloc, double lambda, double mu,
                       const SlotWeights& weights);
 
-  /// Batch entry point: evaluate independent candidates against the shared
-  /// cache, results identical to calling solve() on each in order.  Used by
-  /// the ladder polish grid, where candidates are known upfront.
-  void solve_batch(std::vector<dc::Allocation>& candidates,
-                   const SlotInput& input, const SlotWeights& weights,
-                   std::vector<LoadBalanceResult>& results);
-
-  /// Drop the cached dual point and memo (e.g. when the caller mutates the
-  /// fleet).  Per-(group, level) tables are retained.
-  void invalidate();
-
-  const dc::Fleet& fleet() const { return *fleet_; }
-  LoadLpPolicy policy() const { return policy_; }
   const LoadLpStats& stats() const { return stats_; }
 
  private:
@@ -149,43 +121,26 @@ class LoadLpContext {
   /// diagnostic text (or throw) is exactly the reference's.
   SlotOutcome outcome_at(const dc::Allocation& alloc, const SlotInput& input,
                          const SlotWeights& weights) const;
-  /// outcome_at specialised for the warm path's own solved classes: streams
-  /// the SoA lanes (all groups, in group order; dead lanes add exact +0.0)
-  /// instead of re-walking the allocation, keeping the same expressions and
-  /// summation order bit-for-bit.  The solver's invariants make most of
-  /// outcome_at's guards statically true; the remaining cap / served checks
-  /// are evaluated with the reference's exact predicates and defer to
-  /// evaluate() on failure, so the fallback decision is also bit-exact.
-  SlotOutcome outcome_from_classes(const dc::Allocation& alloc,
-                                   const SlotInput& input,
-                                   const SlotWeights& weights) const;
-  /// Canonical linear solve over the already-built class arrays.  When
-  /// `warm_nu` > 0, the bisection bracket is warmed around it (kWarmStart
-  /// only); tolerances stay canonical.
+  /// Canonical linear solve over the already-built class arrays.
   double solve_linear_built(double lambda, double mu,
-                            const SlotWeights& weights, double warm_nu);
+                            const SlotWeights& weights);
   void scatter_loads(dc::Allocation& alloc) const;
   /// In-order active*cap sum over the built classes (cached per build).
   double built_capacity();
   double supply_gap(double nu, double lambda);
-  /// supply_gap fused with its analytic nu-derivative (kWarmStart clearing):
-  /// the responses written to cls_resp_ are bit-identical to supply_gap's.
-  double supply_gap_grad(double nu, double lambda, double& grad);
   void settle_residual(double lambda);
   void greedy_fill(double lambda, double mu);
   /// Reference-order kinked solve (regimes A -> B -> boundary) over the
   /// built class arrays; identical decision sequence to `balance_loads`.
-  LoadBalanceResult solve_cold(dc::Allocation& alloc, const SlotInput& input,
-                               const SlotWeights& weights);
-  LoadBalanceResult solve_warm(dc::Allocation& alloc, const SlotInput& input,
-                               const SlotWeights& weights);
+  LoadBalanceResult solve_kinked(dc::Allocation& alloc, const SlotInput& input,
+                                 const SlotWeights& weights);
+  /// True when (input, weights) equal the previous solve's, i.e. the memo
+  /// still describes this slot.
   bool cache_valid_for(const SlotInput& input,
                        const SlotWeights& weights) const;
-  void remember(const dc::Allocation& alloc, const SlotInput& input,
-                const SlotWeights& weights, const LoadBalanceResult& result);
   /// Memo keys cover only the allocation: the memo is consulted only while
-  /// warm (same input/weights as the cached dual point) and cleared on every
-  /// cold solve, so input and weights are invariant across entries.
+  /// (input, weights) match the previous solve and is cleared on every cold
+  /// solve, so input and weights are invariant across entries.
   void memo_clear();
   /// Returns the entry index, or -1 when the configuration is not memoised.
   /// Compares stored keys bitwise against the allocation itself, so probing
@@ -202,7 +157,6 @@ class LoadLpContext {
                         const SlotWeights& weights) const;
 
   const dc::Fleet* fleet_;
-  LoadLpPolicy policy_;
   LoadLpStats stats_;
 
   // Per-(group, level) tables, flattened with group offsets.  `rate_table_`
@@ -241,52 +195,30 @@ class LoadLpContext {
   bool dirty_all_ = true;
   double inv_mu_ = std::numeric_limits<double>::quiet_NaN();
   double inv_vbeta_ = std::numeric_limits<double>::quiet_NaN();
-  // Analytic warm seed (kWarmStart only): the gap residual and gradient
-  // captured at the last clearing price.  A class patch adjusts the residual
-  // by the patched lanes' contribution delta at `seed_nu_`, so the next warm
-  // solve can take one Newton step *before* its first gap evaluation.  The
-  // seed only picks the Newton starting iterate — the bracket-safeguarded
-  // loop still verifies the clearing tolerance with real evaluations.
-  bool seed_valid_ = false;
-  double seed_nu_ = -1.0;
-  double seed_fx_ = 0.0;
-  double seed_grad_ = 0.0;
-  double seed_delta_ = 0.0;   ///< patched lanes' gap-contribution delta
-  double seed_gdelta_ = 0.0;  ///< patched lanes' gradient-contribution delta
-  double seed_lambda_ = -1.0;
   std::vector<std::size_t> cls_group_;
   std::vector<double> cls_rate_;
   std::vector<double> cls_slope_;
   std::vector<double> cls_active_;
   std::vector<double> cls_cap_;
   std::vector<double> cls_denom_;
-  std::vector<double> cls_stat_;  ///< static power kw (per server)
-  std::vector<double> cls_dyn_;   ///< dynamic power kw at the lane's level
   // Per-solve invariants (depend on mu and V*beta).
   std::vector<double> cls_ms_;   ///< mu * slope
   std::vector<double> cls_thr_;  ///< activation threshold mu*c + V*beta/x
   std::vector<double> cls_vbr_;  ///< V*beta * x
-  std::vector<double> cls_ivbr_; ///< 1/(V*beta*x); steers gradients only
   std::vector<double> cls_hib_;  ///< per-class upper bracket bound
   std::vector<double> cls_resp_;
-  std::vector<double> cls_gl_;   ///< gradient lanes (warm Newton scratch)
   std::vector<double> cls_load_;
   // Canonical (in-order) active*cap capacity of the built classes, computed
-  // once per class-array generation and shared by the solve() pre-check and
-  // solve_linear_built's feasibility gate (identical expression, so reuse is
-  // bit-exact).
+  // once per class-array generation and reused by every feasibility gate of
+  // the regime sequence (identical expression, so reuse is bit-exact).
   double built_capacity_ = 0.0;
   bool capacity_ready_ = false;
   std::vector<std::size_t> order_;  ///< greedy_fill scratch
 
-  // Cached dual point of the last kinked solve.
+  // (input, weights) of the previous solve: the memo's validity key.
   bool cache_valid_ = false;
   SlotInput cached_input_;
   SlotWeights cached_weights_;
-  double cached_nu_ = 0.0;
-  double cached_mu_ = 0.0;
-  PowerRegime cached_regime_ = PowerRegime::kGridDraw;
-  bool cached_feasible_ = false;
 
   // Exact-duplicate memo (cleared on input/weights change): open-addressed
   // hash table over `memo_slots_` (entry indices, -1 = empty) so lookups

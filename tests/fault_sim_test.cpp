@@ -121,7 +121,9 @@ TEST(FaultSim, OutageRedistributesLoadOverSurvivors) {
     // Served everything every slot: positive billed cost, and on degraded
     // slots the survivors alone carry the load.
     EXPECT_GT(slot.total_cost.value(), 0.0);
-    if (slot.degraded) EXPECT_LE(slot.active_servers, 20.0);
+    if (slot.degraded) {
+      EXPECT_LE(slot.active_servers, 20.0);
+    }
   }
 }
 

@@ -160,8 +160,9 @@ TEST(ObsTraceGolden, SpanProfileFooterBitIdenticalAcrossThreadCounts) {
   EXPECT_NE(footer.find("\"slot\""), std::string::npos);
   EXPECT_NE(footer.find("slot/gsd_chain[3]"), std::string::npos);
   EXPECT_NE(footer.find("slot/gsd_chain[0]/sweep_iter"), std::string::npos);
-  // The incremental load-LP engine classifies every solve as warm (cached
-  // dual point for this slot's input) or cold (first solve of the slot).
+  // The incremental load-LP engine classifies every solve as warm (same
+  // input as the previous solve, memo consulted) or cold (first solve of the
+  // slot).
   // Candidate solves inside the sweep run warm; the slot's initial solve is
   // the one cold solve, so `sweep_iter/load_lp_cold` must never appear.
   EXPECT_NE(footer.find("slot/gsd_chain[0]/sweep_iter/load_lp_warm"),

@@ -42,7 +42,6 @@ void expect_same_lp_stats(const opt::LoadLpStats& a, const opt::LoadLpStats& b) 
   EXPECT_EQ(a.warm, b.warm);
   EXPECT_EQ(a.cold, b.cold);
   EXPECT_EQ(a.memo_hits, b.memo_hits);
-  EXPECT_EQ(a.regime_flips, b.regime_flips);
   EXPECT_EQ(a.nu_iterations, b.nu_iterations);
 }
 
@@ -101,6 +100,12 @@ TEST(MultiChainGsdDeterminism, OneThreadMatchesManyThreadsBitwise) {
 
   expect_same_gsd_result(serial, parallel);
   expect_same_gsd_result(serial, default_threads);
+  // The engine really ran warm: one cold solve per chain, the rest warm.
+  EXPECT_EQ(serial.lp_stats.cold, 4);
+  EXPECT_GT(serial.lp_stats.warm, 0);
+  EXPECT_EQ(serial.lp_stats.solves,
+            serial.lp_stats.warm + serial.lp_stats.cold);
+  EXPECT_LE(serial.lp_stats.memo_hits, serial.lp_stats.warm);
 }
 
 TEST(MultiChainGsdDeterminism, RepeatedInvocationsAreBitIdentical) {
@@ -149,31 +154,6 @@ TEST(MultiChainGsdDeterminism, MergeEqualsManualChainMergeInChainOrder) {
   expect_same_bits(merged.best.outcome.objective,
                    chains[winner].best.outcome.objective);
   expect_same_alloc(merged.best.alloc, chains[winner].best.alloc);
-}
-
-TEST(MultiChainGsdDeterminism, WarmStartPolicyBitIdenticalAcrossThreads) {
-  // The kWarmStart load-LP policy trades bit-exactness *against the
-  // reference solver* for speed, but it must still be deterministic in
-  // itself: same seed, any thread count, same bits — including the warm /
-  // cold / regime-flip counters.
-  const auto fleet = small_fleet();
-  const opt::SlotInput input{30.0, 0.0, 0.06};
-  const auto w = small_weights();
-
-  auto warm_config = [&](int threads) {
-    auto config = multi_chain_config(threads);
-    config.lp_policy = opt::LoadLpPolicy::kWarmStart;
-    return config;
-  };
-  const auto serial = opt::GsdSolver(warm_config(1)).solve(fleet, input, w);
-  const auto parallel = opt::GsdSolver(warm_config(4)).solve(fleet, input, w);
-  expect_same_gsd_result(serial, parallel);
-  // The engine really ran warm: one cold solve per chain, the rest warm.
-  EXPECT_EQ(serial.lp_stats.cold, 4);
-  EXPECT_GT(serial.lp_stats.warm, 0);
-  EXPECT_EQ(serial.lp_stats.solves,
-            serial.lp_stats.warm + serial.lp_stats.cold);
-  EXPECT_LE(serial.lp_stats.memo_hits, serial.lp_stats.warm);
 }
 
 TEST(MultiChainGsdDeterminism, ChainZeroReproducesSingleChainSeed) {
