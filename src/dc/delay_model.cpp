@@ -38,8 +38,4 @@ double fleet_mean_response_seconds(const Fleet& fleet, const Allocation& alloc) 
   return total_delay_jobs(fleet, alloc) / load;
 }
 
-units::Hours fleet_mean_response(const Fleet& fleet, const Allocation& alloc) {
-  return units::seconds(fleet_mean_response_seconds(fleet, alloc));
-}
-
 }  // namespace coca::dc

@@ -7,7 +7,6 @@
 // gamma < 1 (constraint 7) keeps every term finite.
 
 #include "dc/power_model.hpp"
-#include "util/units.hpp"
 
 namespace coca::dc {
 
@@ -25,9 +24,5 @@ double total_delay_jobs(const Fleet& fleet, const Allocation& alloc);
 
 /// Load-weighted mean response time across the fleet (seconds); 0 when idle.
 double fleet_mean_response_seconds(const Fleet& fleet, const Allocation& alloc);
-
-/// Same, lifted into the typed time axis (units::seconds stores hours, so the
-/// result composes with slot durations and $/h delay-cost rates).
-units::Hours fleet_mean_response(const Fleet& fleet, const Allocation& alloc);
 
 }  // namespace coca::dc

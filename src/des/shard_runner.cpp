@@ -1,6 +1,5 @@
 #include "des/shard_runner.hpp"
 
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -13,15 +12,6 @@
 namespace coca::des {
 
 namespace {
-
-std::size_t resolve_threads(std::size_t requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("COCA_THREADS")) {
-    const unsigned long parsed = std::strtoul(env, nullptr, 10);
-    if (parsed >= 1) return static_cast<std::size_t>(parsed);
-  }
-  return 0;  // ThreadPool picks one worker per hardware thread
-}
 
 /// Everything one representative server (group) owns during a replay.
 struct GroupSim {
@@ -89,7 +79,7 @@ ShardRunner::ShardRunner(const dc::Fleet& fleet,
     : fleet_(&fleet),
       config_(config),
       shards_(config.shards == 0 ? 1 : config.shards),
-      pool_(resolve_threads(config.threads)) {
+      pool_(config.threads) {
   if (config_.seconds_per_slot <= 0.0) {
     throw std::invalid_argument("ShardRunner: seconds_per_slot must be > 0");
   }

@@ -250,7 +250,7 @@ SlotSolution LadderSolver::solve_linear(const dc::Fleet& fleet,
         servers = std::clamp(needed / a.per_load, 0.0, servers);
         total = lambda;
       }
-      if (config_.integer_counts) servers = std::ceil(servers - 1e-9);
+      servers = std::ceil(servers - 1e-9);
       solution.alloc[a.group].level = a.level;
       solution.alloc[a.group].active = servers;
     }
@@ -353,7 +353,7 @@ bool LadderSolver::polish(const dc::Fleet& fleet, const SlotInput& input,
     for (std::size_t k = 0; k < group.spec().level_count(); ++k) {
       for (double count : counts) {
         count = std::clamp(count, 0.0, servers);
-        if (config_.integer_counts) count = std::round(count);
+        count = std::round(count);
         dc::Allocation candidate = solution.alloc;
         candidate[g].level = k;
         candidate[g].active = count;

@@ -30,8 +30,6 @@
 namespace coca::opt {
 
 struct LadderConfig {
-  /// Round active counts up to integers after the relaxation.
-  bool integer_counts = true;
   /// Local-search passes over (group, level, count-step) moves; 0 disables.
   int polish_passes = 0;
   /// Count step for polish moves, as a fraction of the group size.

@@ -1,8 +1,9 @@
 #pragma once
 // The year-scale slot simulator: drives any SlotController through an
-// Environment, bills the *actual* workload against the planned capacity,
-// charges switching energy, and feeds the controller its post-slot
-// observations (the realized off-site renewables).
+// Environment, re-balances the *actual* workload over the planned capacity
+// (what a runtime load balancer does) and bills it, charges switching
+// energy, and feeds the controller its post-slot observations (the realized
+// off-site renewables).
 
 #include <vector>
 
@@ -19,10 +20,6 @@ namespace coca::sim {
 
 struct SimOptions {
   dc::SwitchingModel switching;  ///< default: free switching
-  /// Re-balance the actual workload over the planned capacity each slot
-  /// (what a real runtime load balancer does).  When false the planned
-  /// loads are billed as-is (only valid when planning == actual workload).
-  bool rebalance_actual = true;
   /// Optional per-slot trace sink (see obs/trace.hpp).  One record is
   /// appended per slot, in slot order; every field except solve_ms is
   /// deterministic.  Accepts the in-memory SlotTraceWriter or the background
@@ -35,9 +32,6 @@ struct SimOptions {
   std::vector<dc::Allocation>* record_allocations = nullptr;
   /// Optional deterministic fault schedule (see fault/schedule.hpp).  When
   /// null or empty, the run is byte-identical to a fault-free simulation.
-  /// Fault injection requires `rebalance_actual` (degraded fleets re-balance
-  /// the actual workload); passing a non-empty schedule with
-  /// `rebalance_actual == false` throws std::invalid_argument.
   const fault::Schedule* faults = nullptr;
   /// Optional runtime health plane (obs/health.hpp): every slot's trace
   /// record — built even when `trace` is null — is evaluated against the

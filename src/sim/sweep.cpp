@@ -1,23 +1,10 @@
 #include "sim/sweep.hpp"
 
-#include <algorithm>
-#include <cstdlib>
-#include <thread>
-
 #include "obs/metrics.hpp"
 
 namespace coca::sim {
 
-std::size_t threads_from_env() {
-  if (const char* value = std::getenv("COCA_THREADS")) {
-    const unsigned long parsed = std::strtoul(value, nullptr, 10);
-    if (parsed >= 1) return static_cast<std::size_t>(parsed);
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
-SweepRunner::SweepRunner(SweepOptions options)
-    : pool_(options.threads != 0 ? options.threads : threads_from_env()) {
+SweepRunner::SweepRunner(SweepOptions options) : pool_(options.threads) {
   obs::gauge_set("sweep.threads", static_cast<double>(pool_.thread_count()));
 }
 

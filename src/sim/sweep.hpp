@@ -10,10 +10,8 @@
 // N threads is bit-identical to the same sweep at 1 thread, and to any
 // repeated invocation with the same inputs.
 //
-// Thread-count resolution (first match wins):
-//   1. SweepOptions::threads, when non-zero;
-//   2. the COCA_THREADS environment variable, when set and >= 1;
-//   3. one thread per hardware thread.
+// Thread count: SweepOptions::threads when non-zero, else util::ThreadPool's
+// default (the COCA_THREADS environment variable, else the hardware).
 
 #include <cstddef>
 #include <string>
@@ -30,9 +28,6 @@ namespace coca::sim {
 struct SweepOptions {
   std::size_t threads = 0;  ///< 0 = COCA_THREADS env, else hardware threads
 };
-
-/// COCA_THREADS environment override, else hardware concurrency (>= 1).
-std::size_t threads_from_env();
 
 class SweepRunner {
  public:

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "obs/metrics.hpp"
 
@@ -8,7 +9,11 @@ namespace coca::util {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
+    const char* env = std::getenv("COCA_THREADS");
+    const unsigned long parsed =
+        env != nullptr ? std::strtoul(env, nullptr, 10) : 0;
+    threads = parsed >= 1 ? static_cast<std::size_t>(parsed)
+                          : std::max(1u, std::thread::hardware_concurrency());
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {

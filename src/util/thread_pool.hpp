@@ -37,7 +37,9 @@ namespace coca::util {
 
 class ThreadPool {
  public:
-  /// `threads == 0` picks one worker per hardware thread (at least one).
+  /// `threads == 0` reads the COCA_THREADS environment variable when it is
+  /// set and >= 1, else picks one worker per hardware thread (at least one).
+  /// sim::SweepRunner and des::ShardRunner pass their 0 default through.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

@@ -1,22 +1,27 @@
 // Simulator fault paths (sim/simulator.cpp + fault/): the empty-schedule
 // byte-identity contract, outage redistribution vs shedding, the
 // all-groups-down slot, telemetry staleness, the deadline fallback, crash
-// counting on stateless controllers, thread/tracing invariance, and DES
-// replay of fault-run decisions.
+// counting on stateless controllers, thread/tracing invariance, DES replay
+// of fault-run decisions, and P3's per-slot constraints on clean and faulted
+// runs, with the billed loads checked against the reference load balancer.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "baselines/carbon_unaware.hpp"
 #include "core/coca_controller.hpp"
 #include "des/shard_runner.hpp"
+#include "fault/injector.hpp"
 #include "fault/schedule.hpp"
 #include "obs/trace.hpp"
+#include "opt/load_balancer.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 
@@ -337,18 +342,146 @@ TEST(FaultSim, DesReplayOfFaultDecisionsIsLayoutInvariant) {
   EXPECT_EQ(one.sojourn.counts(), many.sojourn.counts());
 }
 
-TEST(FaultSim, FaultInjectionRequiresRebalancing) {
-  const dc::Fleet fleet = dc::make_homogeneous_fleet(2, 4);
-  const sim::Environment env = make_env(4);
-  Schedule schedule;
-  schedule.crashes = {{.slot = 1}};
+/// P3 on every slot of a run under `schedule` (null = clean): sum of loads
+/// = lambda - shed (relative 1e-7), 0 <= load_i <= gamma * active_i *
+/// rate(level_i) (up to rounding), active_i within the slot's possibly
+/// degraded fleet, finite billed costs and q >= 0.  On every slot that shed
+/// nothing, re-balancing the executed (level, active) with the reference
+/// `balance_loads` on the slot's fleet must reproduce the recorded loads, IT
+/// power and delay cost bit for bit.
+void expect_p3_on_every_slot(const dc::Fleet& fleet,
+                             const sim::Environment& env,
+                             const Schedule* schedule,
+                             const opt::SlotWeights& weights,
+                             const sim::SimResult& result,
+                             const std::vector<dc::Allocation>& executed) {
+  std::optional<fault::Injector> injector;
+  if (schedule != nullptr) injector.emplace(fleet, *schedule, env.slots());
+  opt::SlotWeights billing = weights;  // the simulator bills at (V, q) = (1, 0)
+  billing.V = 1.0;
+  billing.q = 0.0;
+  const auto& records = result.metrics.slots();
+  ASSERT_EQ(records.size(), env.slots());
+  ASSERT_EQ(executed.size(), env.slots());
+  for (std::size_t t = 0; t < records.size(); ++t) {
+    SCOPED_TRACE("slot " + std::to_string(t));
+    const dc::Fleet& slot_fleet = injector ? injector->fleet_at(t) : fleet;
+    const sim::SlotRecord& record = records[t];
+    const dc::Allocation& alloc = executed[t];
+    ASSERT_EQ(alloc.size(), slot_fleet.group_count());
+    double served = 0.0;
+    for (std::size_t g = 0; g < alloc.size(); ++g) {
+      const dc::ServerGroup& group = slot_fleet.group(g);
+      ASSERT_LT(alloc[g].level, group.spec().level_count());
+      EXPECT_GE(alloc[g].active, 0.0);
+      EXPECT_LE(alloc[g].active, static_cast<double>(group.server_count()));
+      const double cap = billing.gamma * alloc[g].active *
+                         group.spec().level(alloc[g].level).service_rate;
+      EXPECT_GE(alloc[g].load, 0.0);
+      EXPECT_LE(alloc[g].load, cap * (1.0 + 1e-12)) << "group " << g;
+      served += alloc[g].load;
+    }
+    const double target = record.lambda.value() - record.shed_lambda.value();
+    EXPECT_LE(std::abs(served - target), 1e-7 * std::max(1.0, target));
+    for (const double billed :
+         {record.it_power_kw.value(), record.facility_power_kw.value(),
+          record.brown_kwh.value(), record.electricity_cost.value(),
+          record.delay_cost.value(), record.total_cost.value(),
+          record.rec_cost.value()}) {
+      EXPECT_TRUE(std::isfinite(billed));
+    }
+    EXPECT_GE(record.queue_length, 0.0);
+
+    if (record.shed_lambda.value() > 0.0) continue;
+    dc::Allocation rebalanced = alloc;
+    const opt::LoadBalanceResult reference = opt::balance_loads(
+        slot_fleet, rebalanced,
+        {env.workload[t], env.onsite_kw[t], env.price[t]}, billing);
+    EXPECT_TRUE(reference.feasible);
+    for (std::size_t g = 0; g < alloc.size(); ++g) {
+      EXPECT_EQ(rebalanced[g].load, alloc[g].load) << "group " << g;
+    }
+    EXPECT_EQ(reference.outcome.it_power_kw, record.it_power_kw.value());
+    EXPECT_EQ(reference.outcome.delay_cost, record.delay_cost.value());
+  }
+}
+
+/// Runs COCA under `schedule` (null = clean) with allocation capture, and
+/// checks P3 on every slot.
+sim::SimResult run_checking_p3(const dc::Fleet& fleet,
+                               const sim::Environment& env,
+                               const Schedule* schedule) {
+  const opt::SlotWeights weights;
   core::CocaController controller(fleet, coca_config());
+  std::vector<dc::Allocation> executed;
   sim::SimOptions options;
-  options.faults = &schedule;
-  options.rebalance_actual = false;
-  EXPECT_THROW(
-      (void)sim::run_simulation(fleet, env, controller, {}, options),
-      std::invalid_argument);
+  options.faults = schedule;
+  options.record_allocations = &executed;
+  sim::SimResult result =
+      sim::run_simulation(fleet, env, controller, weights, options);
+  expect_p3_on_every_slot(fleet, env, schedule, weights, result, executed);
+  return result;
+}
+
+TEST(FaultSim, P3HoldsOnEverySlotAndBillingMatchesTheReference) {
+  const dc::Fleet fleet = dc::make_homogeneous_fleet(3, 10);
+  const sim::Environment env = make_env();
+  {
+    SCOPED_TRACE("clean");
+    (void)run_checking_p3(fleet, env, nullptr);
+  }
+  {
+    // Fleet swaps: half of group 0 fails, group 1 goes dark inside that
+    // window, and both are repaired back onto the baseline fleet.
+    SCOPED_TRACE("fleet swaps");
+    Schedule schedule;
+    schedule.outages = {{.group = 0, .begin = 4, .end = 20, .fraction = 0.5},
+                        {.group = 1, .begin = 10, .end = 16, .fraction = 1.0}};
+    const auto result = run_checking_p3(fleet, env, &schedule);
+    EXPECT_EQ(result.faults.degraded_slots, 16);
+  }
+  {
+    // Stale lambda on a degraded fleet: plans sized for an old, smaller
+    // workload leave the slot short, so the runtime expansion runs.
+    SCOPED_TRACE("stale lambda");
+    Schedule schedule;
+    schedule.staleness = {{Channel::kLambda, 0, kSlots, 2}};
+    schedule.outages = {{.group = 2, .begin = 6, .end = 30, .fraction = 0.5}};
+    const auto result = run_checking_p3(fleet, env, &schedule);
+    EXPECT_EQ(result.faults.stale_inputs, static_cast<std::int64_t>(kSlots));
+    EXPECT_GT(result.infeasible_slots, 0u);
+  }
+  {
+    // Zero-budget deadlines, one on the slot a half outage starts: the
+    // fallback clamps the previous allocation onto the smaller fleet.
+    SCOPED_TRACE("deadline fallback");
+    Schedule schedule;
+    schedule.outages = {{.group = 0, .begin = 8, .end = 14, .fraction = 0.5}};
+    schedule.deadlines = {{.begin = 8, .end = 9, .max_evaluations = 0},
+                          {.begin = 20, .end = 22, .max_evaluations = 0}};
+    const auto result = run_checking_p3(fleet, env, &schedule);
+    EXPECT_EQ(result.faults.fallback_activations, 3);
+  }
+  {
+    // Crash restores from a checkpoint up to four slots old.
+    SCOPED_TRACE("crash restore");
+    Schedule schedule;
+    schedule.crashes = {{.slot = 12}, {.slot = 29}};
+    schedule.checkpoint_every = 5;
+    const auto result = run_checking_p3(fleet, env, &schedule);
+    EXPECT_EQ(result.faults.crash_restarts, 2);
+    EXPECT_GT(result.faults.checkpoints_taken, 1);
+  }
+  {
+    SCOPED_TRACE("all groups down");
+    Schedule schedule;
+    for (std::size_t g = 0; g < 3; ++g) {
+      schedule.outages.push_back(
+          {.group = g, .begin = 5, .end = 7, .fraction = 1.0});
+    }
+    const auto result = run_checking_p3(fleet, env, &schedule);
+    EXPECT_EQ(result.faults.shed_slots, 2);
+  }
 }
 
 }  // namespace
