@@ -290,7 +290,6 @@ void add_load_lp_regression(obs::BenchReport& report) {
   double reference_ms = std::numeric_limits<double>::infinity();
   double incremental_ms = std::numeric_limits<double>::infinity();
   std::size_t mismatches = 0;  // the context must carry the exact bits
-  opt::LoadLpStats exact_stats;
   for (int rep = 0; rep < kReps; ++rep) {
     const double ref_ms = timed([&] {
       for (std::size_t i = 0; i < chain.size(); ++i) {
@@ -303,7 +302,7 @@ void add_load_lp_regression(obs::BenchReport& report) {
     reference_ms = std::min(reference_ms, ref_ms);
     total_ms += ref_ms;
 
-    opt::LoadLpContext exact_ctx(scenario.fleet);  // fresh cache per rep
+    opt::LoadLpContext exact_ctx(scenario.fleet);  // fresh context per rep
     const double inc_ms = timed([&] {
       for (std::size_t i = 0; i < chain.size(); ++i) {
         auto alloc = chain[i];
@@ -316,7 +315,6 @@ void add_load_lp_regression(obs::BenchReport& report) {
     });
     incremental_ms = std::min(incremental_ms, inc_ms);
     total_ms += inc_ms;
-    exact_stats = exact_ctx.stats();
   }
 
   obs::BenchResult result;
@@ -335,9 +333,6 @@ void add_load_lp_regression(obs::BenchReport& report) {
   result.meta["speedup_vs_reference"] =
       incremental_ms > 0.0 ? reference_ms / incremental_ms : 0.0;
   result.meta["bit_identical"] = mismatches == 0 ? 1.0 : 0.0;
-  result.meta["memo_hits"] = static_cast<double>(exact_stats.memo_hits);
-  result.meta["warm_solves"] = static_cast<double>(exact_stats.warm);
-  result.meta["cold_solves"] = static_cast<double>(exact_stats.cold);
   report.add(result);
 
   std::cout << "-- load_lp regression: " << chain.size()

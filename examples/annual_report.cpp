@@ -12,9 +12,7 @@
 //
 // Set COCA_TRACE_JSONL=<path> to also export the COCA run's per-slot JSONL
 // trace (schema coca-slot-trace-v1) with the span profile as its footer
-// line; COCA_OBS_ASYNC=1 routes the write through the background
-// obs::AsyncTraceSink (see README "Observability" for the ring/policy
-// knobs).
+// line.
 
 #include <cstdlib>
 #include <iostream>
@@ -24,7 +22,6 @@
 #include "core/calibration.hpp"
 #include "core/coca_controller.hpp"
 #include "energy/rec_ledger.hpp"
-#include "obs/async_sink.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "sim/scenario.hpp"
@@ -46,19 +43,6 @@ coca::sim::SimResult run_coca_traced(const coca::sim::Scenario& scenario,
   config.rec_per_slot = scenario.budget.rec_per_slot();
   core::CocaController controller(scenario.fleet, config);
   sim::SimOptions options;
-  if (obs::AsyncTraceSink::enabled_by_env()) {
-    obs::AsyncTraceSink sink(path, obs::AsyncTraceSink::options_from_env());
-    options.trace = &sink;
-    const auto result = sim::run_simulation(scenario.fleet, scenario.env,
-                                            controller, scenario.weights,
-                                            options);
-    sink.set_footer(profiler.to_json());
-    std::cout << "wrote slot trace " << path << " (async sink, ring "
-              << sink.options().ring_capacity << ", high water "
-              << sink.high_water() << ", dropped " << sink.dropped()
-              << ")\n\n";
-    return result;
-  }
   obs::SlotTraceWriter writer;
   options.trace = &writer;
   const auto result = sim::run_simulation(scenario.fleet, scenario.env,

@@ -3,9 +3,8 @@
 namespace coca::baselines {
 
 CarbonUnawareController::CarbonUnawareController(const dc::Fleet& fleet,
-                                                 opt::SlotWeights weights,
-                                                 opt::LadderConfig ladder)
-    : fleet_(&fleet), weights_(weights), solver_(ladder), lp_(fleet) {
+                                                 opt::SlotWeights weights)
+    : fleet_(&fleet), weights_(weights), lp_(fleet) {
   // Pure cost minimization: V = 1, no deficit pressure.
   weights_.V = 1.0;
   weights_.q = 0.0;

@@ -11,8 +11,7 @@ namespace coca::baselines {
 
 class CarbonUnawareController final : public core::SlotController {
  public:
-  CarbonUnawareController(const dc::Fleet& fleet, opt::SlotWeights weights,
-                          opt::LadderConfig ladder = {});
+  CarbonUnawareController(const dc::Fleet& fleet, opt::SlotWeights weights);
 
   std::string name() const override { return "carbon-unaware"; }
   opt::SlotSolution plan(std::size_t t, const opt::SlotInput& input) override;
@@ -25,7 +24,7 @@ class CarbonUnawareController final : public core::SlotController {
   const dc::Fleet* fleet_;
   opt::SlotWeights weights_;
   opt::LadderSolver solver_;
-  /// Ladder tables and load-LP caches for `*fleet_`; rebuilt in set_fleet.
+  /// Fleet tables and load-LP scratch for `*fleet_`; rebuilt in set_fleet.
   opt::LoadLpContext lp_;
 };
 

@@ -10,12 +10,11 @@ OfflineSchedule solve_with_multiplier(const dc::Fleet& fleet,
                                       std::span<const double> onsite_kw,
                                       std::span<const double> price,
                                       const opt::SlotWeights& weights,
-                                      double multiplier,
-                                      const opt::LadderConfig& ladder) {
+                                      double multiplier) {
   if (lambda.size() != onsite_kw.size() || lambda.size() != price.size()) {
     throw std::invalid_argument("solve_with_multiplier: span size mismatch");
   }
-  opt::LadderSolver solver(ladder);
+  const opt::LadderSolver solver;
   opt::SlotWeights w = weights;
   w.V = 1.0;
   w.q = multiplier;
@@ -48,7 +47,7 @@ OfflineSchedule solve_offline_opt(const dc::Fleet& fleet,
   // mu = 0: the unconstrained cost minimizer.  If it meets the budget,
   // complementary slackness says it is optimal.
   OfflineSchedule best = solve_with_multiplier(fleet, lambda, onsite_kw, price,
-                                               weights, 0.0, config.ladder);
+                                               weights, 0.0);
   if (best.total_brown_kwh <= allowance * (1.0 + 1e-9)) {
     best.budget_met = true;
     return best;
@@ -62,8 +61,7 @@ OfflineSchedule solve_offline_opt(const dc::Fleet& fleet,
   OfflineSchedule at_hi;
   int runs = 0;
   for (;;) {
-    at_hi = solve_with_multiplier(fleet, lambda, onsite_kw, price, weights, hi,
-                                  config.ladder);
+    at_hi = solve_with_multiplier(fleet, lambda, onsite_kw, price, weights, hi);
     ++runs;
     if (at_hi.total_brown_kwh <= allowance || hi > 1e12 ||
         runs >= config.max_bisection_runs) {
@@ -84,8 +82,8 @@ OfflineSchedule solve_offline_opt(const dc::Fleet& fleet,
   OfflineSchedule best_feasible = at_hi;
   while (runs < config.max_bisection_runs) {
     const double mid = 0.5 * (lo + hi);
-    OfflineSchedule at_mid = solve_with_multiplier(
-        fleet, lambda, onsite_kw, price, weights, mid, config.ladder);
+    OfflineSchedule at_mid =
+        solve_with_multiplier(fleet, lambda, onsite_kw, price, weights, mid);
     ++runs;
     if (at_mid.total_brown_kwh <= allowance) {
       best_feasible = at_mid;

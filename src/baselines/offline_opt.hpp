@@ -27,7 +27,6 @@ struct OfflineSchedule {
 };
 
 struct OfflineOptConfig {
-  opt::LadderConfig ladder;
   double usage_rel_tol = 0.002;  ///< bisection tolerance on the budget
   int max_bisection_runs = 24;
 };
@@ -50,7 +49,6 @@ OfflineSchedule solve_with_multiplier(const dc::Fleet& fleet,
                                       std::span<const double> onsite_kw,
                                       std::span<const double> price,
                                       const opt::SlotWeights& weights,
-                                      double multiplier,
-                                      const opt::LadderConfig& ladder = {});
+                                      double multiplier);
 
 }  // namespace coca::baselines

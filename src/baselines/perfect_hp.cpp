@@ -4,17 +4,19 @@
 #include <stdexcept>
 
 namespace coca::baselines {
+namespace {
+
+constexpr std::size_t kWindowHours = 48;  // prediction horizon (paper: 48 h)
+
+}  // namespace
 
 PerfectHpController::PerfectHpController(
     const dc::Fleet& fleet, opt::SlotWeights weights,
     const coca::workload::Trace& workload_forecast,
-    const energy::CarbonBudget& budget, PerfectHpConfig config)
-    : fleet_(&fleet), weights_(weights), solver_(config.ladder) {
+    const energy::CarbonBudget& budget)
+    : fleet_(&fleet), weights_(weights) {
   weights_.V = 1.0;
   weights_.q = 0.0;
-  if (config.window_hours == 0) {
-    throw std::invalid_argument("PerfectHP: window must be > 0");
-  }
   const std::size_t hours = workload_forecast.size();
   if (budget.slots() != hours) {
     throw std::invalid_argument("PerfectHP: budget/forecast size mismatch");
@@ -25,8 +27,8 @@ PerfectHpController::PerfectHpController(
   const double allowance = budget.total_allowance();
   const double per_hour = allowance / static_cast<double>(hours);
   caps_.assign(hours, 0.0);
-  for (std::size_t start = 0; start < hours; start += config.window_hours) {
-    const std::size_t end = std::min(hours, start + config.window_hours);
+  for (std::size_t start = 0; start < hours; start += kWindowHours) {
+    const std::size_t end = std::min(hours, start + kWindowHours);
     const double window_budget =
         per_hour * static_cast<double>(end - start);
     double window_load = 0.0;

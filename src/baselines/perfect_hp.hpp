@@ -19,19 +19,13 @@
 
 namespace coca::baselines {
 
-struct PerfectHpConfig {
-  std::size_t window_hours = 48;  ///< prediction horizon (paper: 48 h)
-  opt::LadderConfig ladder;
-};
-
 class PerfectHpController final : public core::SlotController {
  public:
   /// `workload_forecast`: the hourly workload trace (perfect prediction);
   /// `budget`: the carbon budget whose allowance is being allocated.
   PerfectHpController(const dc::Fleet& fleet, opt::SlotWeights weights,
                       const coca::workload::Trace& workload_forecast,
-                      const energy::CarbonBudget& budget,
-                      PerfectHpConfig config = {});
+                      const energy::CarbonBudget& budget);
 
   std::string name() const override { return "PerfectHP"; }
   opt::SlotSolution plan(std::size_t t, const opt::SlotInput& input) override;

@@ -7,10 +7,7 @@
 namespace coca::core {
 
 CocaController::CocaController(const dc::Fleet& fleet, CocaConfig config)
-    : fleet_(&fleet),
-      config_(std::move(config)),
-      ladder_(config_.ladder),
-      lp_(fleet) {}
+    : fleet_(&fleet), config_(std::move(config)), lp_(fleet) {}
 
 void CocaController::set_fleet(const dc::Fleet& fleet) {
   fleet_ = &fleet;

@@ -38,7 +38,6 @@ struct CocaConfig {
   /// kWh (Eq. 17's queue update applies alpha; see core/deficit_queue.hpp).
   double rec_per_slot = 0.0;
   P3Engine engine = P3Engine::kLadder;
-  opt::LadderConfig ladder;
   opt::GsdConfig gsd;
 };
 
@@ -84,7 +83,7 @@ class CocaController final : public SlotController {
   CocaConfig config_;
   CarbonDeficitQueue queue_;
   opt::LadderSolver ladder_;
-  /// Ladder tables and load-LP caches for `*fleet_`; rebuilt in set_fleet.
+  /// Fleet tables and load-LP scratch for `*fleet_`; rebuilt in set_fleet.
   opt::LoadLpContext lp_;
   std::int64_t eval_budget_ = -1;  ///< GSD evaluation cap; < 0 = unlimited
   /// Solver internals of the most recent plan() (for diagnostics()).

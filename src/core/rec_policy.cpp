@@ -15,8 +15,10 @@ DynamicRecCocaController::DynamicRecCocaController(const dc::Fleet& fleet,
     : fleet_(&fleet),
       config_(std::move(config)),
       market_(std::move(market)),
-      ladder_(config_.ladder),
       lp_(fleet) {
+  if (config_.engine != P3Engine::kLadder) {
+    throw std::invalid_argument("DynamicRecCoca: only the ladder engine plans");
+  }
   if (market_.spot_price.empty()) {
     throw std::invalid_argument("DynamicRecCoca: empty spot price trace");
   }

@@ -35,7 +35,8 @@ struct RecMarketConfig {
 class DynamicRecCocaController final : public SlotController {
  public:
   /// `config.rec_per_slot` should reflect only the *pre-purchased* block
-  /// (possibly 0 — fully dynamic procurement).
+  /// (possibly 0 — fully dynamic procurement).  Plans with the ladder
+  /// engine; throws std::invalid_argument for any other `config.engine`.
   DynamicRecCocaController(const dc::Fleet& fleet, CocaConfig config,
                            RecMarketConfig market);
 
@@ -77,7 +78,7 @@ class DynamicRecCocaController final : public SlotController {
   RecMarketConfig market_;
   CarbonDeficitQueue queue_;
   opt::LadderSolver ladder_;
-  /// Ladder tables and load-LP caches for `*fleet_`; rebuilt in set_fleet.
+  /// Fleet tables and load-LP scratch for `*fleet_`; rebuilt in set_fleet.
   opt::LoadLpContext lp_;
   energy::RecLedger ledger_;
   double spend_ = 0.0;

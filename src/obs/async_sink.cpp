@@ -1,43 +1,11 @@
 #include "obs/async_sink.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
 
 namespace coca::obs {
-
-namespace {
-
-const char* env_or_null(const char* name) { return std::getenv(name); }
-
-}  // namespace
-
-AsyncTraceSink::Options AsyncTraceSink::options_from_env() {
-  Options options;
-  if (const char* ring = env_or_null("COCA_OBS_ASYNC_RING")) {
-    char* end = nullptr;
-    const long long parsed = std::strtoll(ring, &end, 10);
-    if (end != ring && *end == '\0' && parsed > 0) {
-      options.ring_capacity = static_cast<std::size_t>(parsed);
-    }
-  }
-  if (const char* policy = env_or_null("COCA_OBS_ASYNC_POLICY")) {
-    const std::string value(policy);
-    if (value == "drop") {
-      options.policy = Backpressure::kDropNewest;
-    } else if (value == "block") {
-      options.policy = Backpressure::kBlock;
-    }
-  }
-  return options;
-}
-
-bool AsyncTraceSink::enabled_by_env() {
-  const char* flag = env_or_null("COCA_OBS_ASYNC");
-  return flag != nullptr && std::string(flag) == "1";
-}
 
 AsyncTraceSink::AsyncTraceSink(std::ostream& out, Options options)
     : options_(options), out_(&out) {

@@ -23,11 +23,6 @@
 // Never feeds back into any decision: the sink only observes.  The writer
 // thread touches no model state, so tracing through this sink preserves the
 // bit-identical-across-thread-counts guarantee (masked golden tests).
-//
-// Runtime knobs (read by options_from_env; see README "Observability"):
-//   COCA_OBS_ASYNC=1           opt into the async path where callers honor it
-//   COCA_OBS_ASYNC_RING=N      ring capacity in records   (default 1024)
-//   COCA_OBS_ASYNC_POLICY=P    "block" (default) or "drop"
 
 #include <condition_variable>
 #include <cstddef>
@@ -58,13 +53,6 @@ struct AsyncSinkOptions {
 class AsyncTraceSink final : public TraceSink {
  public:
   using Options = AsyncSinkOptions;
-
-  /// Parse COCA_OBS_ASYNC_RING / COCA_OBS_ASYNC_POLICY (invalid or unset
-  /// values keep the defaults).
-  static Options options_from_env();
-  /// True when COCA_OBS_ASYNC=1: callers offering both paths should route
-  /// traces through an AsyncTraceSink.
-  static bool enabled_by_env();
 
   /// Stream sink: `out` must outlive the sink.
   explicit AsyncTraceSink(std::ostream& out, Options options = Options());

@@ -15,9 +15,8 @@ CappedSlotResult CappedSlotSolver::solve(const dc::Fleet& fleet,
   CappedSlotResult result;
   SlotWeights w = weights;
   w.q = 0.0;
-  // One load-LP context carries the cached per-(group, level) tables across
-  // every multiplier probe of the bisection below (each probe changes q, so
-  // probes start cold, but the fleet tables and scratch are reused).
+  // One load-LP context carries the fleet tables and SoA scratch across
+  // every multiplier probe of the bisection below.
   LoadLpContext lp(fleet);
 
   // Unconstrained cost minimizer: if it already meets the cap, the
@@ -81,10 +80,9 @@ CappedSlotResult CappedSlotSolver::solve(const dc::Fleet& fleet,
 PowerCapResult solve_power_capped(const dc::Fleet& fleet,
                                   const SlotInput& input,
                                   const SlotWeights& weights,
-                                  double max_facility_kw,
-                                  const LadderConfig& ladder) {
+                                  double max_facility_kw) {
   PowerCapResult result;
-  LadderSolver solver(ladder);
+  const LadderSolver solver;
   SlotWeights base = weights;
   base.power_price = 0.0;
   LoadLpContext lp(fleet);

@@ -25,8 +25,6 @@ struct CappedSlotResult {
 
 class CappedSlotSolver {
  public:
-  explicit CappedSlotSolver(LadderConfig ladder = {}) : solver_(ladder) {}
-
   /// Minimize g(t) subject to y(t) <= cap_kwh (cap in kWh of brown energy).
   CappedSlotResult solve(const dc::Fleet& fleet, const SlotInput& input,
                          const SlotWeights& weights, double cap_kwh) const;
@@ -50,7 +48,6 @@ struct PowerCapResult {
 PowerCapResult solve_power_capped(const dc::Fleet& fleet,
                                   const SlotInput& input,
                                   const SlotWeights& weights,
-                                  double max_facility_kw,
-                                  const LadderConfig& ladder = {});
+                                  double max_facility_kw);
 
 }  // namespace coca::opt

@@ -1,6 +1,7 @@
 #include "opt/gsd.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -17,6 +18,21 @@ namespace {
 bool better(const GsdResult& a, const GsdResult& b) {
   if (a.best.feasible != b.best.feasible) return a.best.feasible;
   return a.best.outcome.objective < b.best.outcome.objective;
+}
+
+/// True when every group has the same level and bitwise the same active
+/// count in `a` and `b`: then a load-LP solve of either returns the same
+/// bits, since the loads are its only other per-group input and it
+/// overwrites them.
+bool same_configuration(const dc::Allocation& a, const dc::Allocation& b) {
+  for (std::size_t g = 0; g < a.size(); ++g) {
+    if (a[g].level != b[g].level ||
+        std::bit_cast<std::uint64_t>(a[g].active) !=
+            std::bit_cast<std::uint64_t>(b[g].active)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -96,9 +112,6 @@ GsdResult GsdSolver::solve(const dc::Fleet& fleet, const SlotInput& input,
     merged.evaluations += chain.evaluations;
     merged.accepted += chain.accepted;
     merged.lp_stats.solves += chain.lp_stats.solves;
-    merged.lp_stats.warm += chain.lp_stats.warm;
-    merged.lp_stats.cold += chain.lp_stats.cold;
-    merged.lp_stats.memo_hits += chain.lp_stats.memo_hits;
     merged.lp_stats.nu_iterations += chain.lp_stats.nu_iterations;
   }
   merged.chains_run = chains;
@@ -116,19 +129,17 @@ GsdResult GsdSolver::solve_chain(const dc::Fleet& fleet, const SlotInput& input,
   GsdResult result;
   util::Rng rng(seed);
 
-  // The chain's incremental load-LP engine: caches the SoA class lanes and
-  // the solved-configuration memo across candidate solves (one context per
-  // chain keeps the cache state — and so the warm/cold span counts —
-  // deterministic at any thread count).  It emits the load_lp_warm /
-  // load_lp_cold spans.
+  // The chain's load-LP engine: the fleet tables and SoA scratch serve
+  // every candidate solve.  One context per chain keeps its `load_lp` span
+  // counts deterministic at any thread count.
   LoadLpContext lp(fleet);
 
-  // Initialization (line 1): a feasible starting configuration.
+  // Initialization (line 1): a feasible starting configuration.  `kept`
+  // always holds its solved loads, and `kept_balance` its solve.
   dc::Allocation kept =
       initial.value_or(all_on_max(fleet, input.lambda, weights.gamma));
-  auto kept_balance = lp.solve(kept, input, weights);
+  LoadBalanceResult kept_balance = lp.solve(kept, input, weights);
   ++result.evaluations;
-  double kept_objective = kept_balance.outcome.objective;
 
   dc::Allocation explored = kept;  // the exploration state x^e
   SlotSolution best;
@@ -147,18 +158,23 @@ GsdResult GsdSolver::solve_chain(const dc::Fleet& fleet, const SlotInput& input,
     const double explored_capacity =
         dc::capped_capacity(fleet, explored, weights.gamma);
     if (explored_capacity >= input.lambda * (1.0 - 1e-12)) {
-      // Line 3: optimal load distribution for the explored speeds.
-      dc::Allocation candidate = explored;
-      const auto balanced = lp.solve(candidate, input, weights);
+      // Line 3: optimal load distribution for the explored speeds.  An
+      // exploration back on the kept configuration reuses the kept solve
+      // (same configuration, same bits) instead of solving it again; it
+      // still counts as an evaluation.
+      const bool at_kept = same_configuration(explored, kept);
+      dc::Allocation candidate = at_kept ? kept : explored;
+      const LoadBalanceResult balanced =
+          at_kept ? kept_balance : lp.solve(candidate, input, weights);
       ++result.evaluations;
       const double explored_objective = balanced.outcome.objective;
 
       // Lines 4-5: two-point Gibbs acceptance.
-      const double u =
-          acceptance_probability(delta, explored_objective, kept_objective);
+      const double u = acceptance_probability(
+          delta, explored_objective, kept_balance.outcome.objective);
       if (rng.bernoulli(u)) {
         kept = candidate;
-        kept_objective = explored_objective;
+        kept_balance = balanced;
         ++result.accepted;
         if (balanced.feasible && explored_objective < best.outcome.objective) {
           best.alloc = candidate;
@@ -198,17 +214,18 @@ GsdResult GsdSolver::solve_chain(const dc::Fleet& fleet, const SlotInput& input,
     }
 
     if (config_.adaptive) delta *= config_.delta_growth;
-    if (config_.record_trajectory) result.trajectory.push_back(kept_objective);
+    if (config_.record_trajectory) {
+      result.trajectory.push_back(kept_balance.outcome.objective);
+    }
   }
 
-  // Line 8: return the kept configuration (we also expose the incumbent) —
-  // an exact memo hit in the engine, not a re-solve.
-  auto final_balance = lp.solve(kept, input, weights);
+  // Line 8: return the kept configuration with its kept solve (we also
+  // expose the incumbent).
   result.solution.alloc = kept;
-  result.solution.outcome = final_balance.outcome;
-  result.solution.regime = final_balance.regime;
-  result.solution.effective_price = final_balance.effective_price;
-  result.solution.feasible = final_balance.feasible;
+  result.solution.outcome = kept_balance.outcome;
+  result.solution.regime = kept_balance.regime;
+  result.solution.effective_price = kept_balance.effective_price;
+  result.solution.feasible = kept_balance.feasible;
   result.best = best;
   result.lp_stats = lp.stats();
   return result;

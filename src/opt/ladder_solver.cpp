@@ -348,17 +348,17 @@ bool LadderSolver::polish(const dc::Fleet& fleet, const SlotInput& input,
     const double current_active = solution.alloc[g].active;
     std::vector<double> counts = {current_active - step, current_active + step,
                                   0.0, servers};
-    // The current (level, count) is skipped only after its solve, so the
-    // context's span counts and memo cover the whole grid.
+    // The current (level, count) is skipped unsolved: it cannot improve on
+    // itself.
     for (std::size_t k = 0; k < group.spec().level_count(); ++k) {
       for (double count : counts) {
         count = std::clamp(count, 0.0, servers);
         count = std::round(count);
+        if (k == solution.alloc[g].level && count == current_active) continue;
         dc::Allocation candidate = solution.alloc;
         candidate[g].level = k;
         candidate[g].active = count;
         const LoadBalanceResult balanced = lp.solve(candidate, input, weights);
-        if (k == solution.alloc[g].level && count == current_active) continue;
         if (balanced.feasible &&
             balanced.outcome.objective <
                 solution.outcome.objective * (1.0 - 1e-10)) {

@@ -51,7 +51,7 @@ class LadderSolver {
   /// Solve P3 for one slot.  Returns an infeasible solution (objective +inf)
   /// if even the full fleet at top speed cannot serve lambda under gamma.
   /// An optional LoadLpContext (built for the *same* fleet) carries the
-  /// fleet tables, the server-type index and the load-LP caches across
+  /// fleet tables, the server-type index and the load-LP scratch across
   /// solves.  CocaController, DynamicRecCocaController and
   /// CarbonUnawareController each pass the context bound to their current
   /// fleet (rebuilt in set_fleet); the capped solvers reuse one across their
@@ -70,8 +70,9 @@ class LadderSolver {
                             LoadLpContext& lp) const;
 
   /// One local-search polish pass; returns true if it improved the solution.
-  /// Each (group, level, count-step) candidate is solved through the context
-  /// and adopted at once when it lowers the objective.
+  /// Each (group, level, count-step) candidate other than the current point
+  /// is solved through the context and adopted at once when it lowers the
+  /// objective.
   bool polish(const dc::Fleet& fleet, const SlotInput& input,
               const SlotWeights& weights, SlotSolution& solution,
               LoadLpContext& lp) const;

@@ -20,48 +20,6 @@ constexpr double kTiny = 1e-12;  // matches load_balancer.cpp
 // keeps the speculative divide on unselected lanes well defined.
 constexpr double kDenomFloor = std::numeric_limits<double>::min();
 
-// The memo's value is recency-driven (GSD revisits the kept configuration
-// and near-past flips), so a small pool that stays resident in L2 beats a
-// large one: store/probe touch hot lines instead of missing on every row.
-constexpr std::size_t kMemoCapacity = 64;
-constexpr std::size_t kMemoSlots = 256;  // power of two, 4x capacity
-
-std::uint64_t fnv1a_alloc(const dc::Allocation& alloc) {
-  // Four-lane FNV-1a over the allocation's interleaved (level, active)
-  // doubles — the same word stream memo entries store as their key —
-  // fused so the per-solve probe needs no materialised key.
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t h[4] = {1469598103934665603ull, 0x9e3779b97f4a7c15ull,
-                        0xc2b2ae3d27d4eb4full, 0x165667b19e3779f9ull};
-  const std::size_t groups = alloc.size();
-  std::size_t g = 0;
-  for (; g + 2 <= groups; g += 2) {
-    const double d0 = static_cast<double>(alloc[g].level);
-    const double d1 = alloc[g].active;
-    const double d2 = static_cast<double>(alloc[g + 1].level);
-    const double d3 = alloc[g + 1].active;
-    std::uint64_t w[4];
-    std::memcpy(&w[0], &d0, sizeof(double));
-    std::memcpy(&w[1], &d1, sizeof(double));
-    std::memcpy(&w[2], &d2, sizeof(double));
-    std::memcpy(&w[3], &d3, sizeof(double));
-    for (int k = 0; k < 4; ++k) h[k] = (h[k] ^ w[k]) * kPrime;
-  }
-  if (g < groups) {  // odd group count: the two tail words fold into lane 0
-    const double d0 = static_cast<double>(alloc[g].level);
-    const double d1 = alloc[g].active;
-    std::uint64_t w0 = 0;
-    std::uint64_t w1 = 0;
-    std::memcpy(&w0, &d0, sizeof(double));
-    std::memcpy(&w1, &d1, sizeof(double));
-    h[0] = (h[0] ^ w0) * kPrime;
-    h[0] = (h[0] ^ w1) * kPrime;
-  }
-  std::uint64_t hash = h[0];
-  for (int k = 1; k < 4; ++k) hash = (hash ^ h[k]) * kPrime;
-  return hash;
-}
-
 }  // namespace
 
 LoadLpContext::LoadLpContext(const dc::Fleet& fleet) : fleet_(&fleet) {
@@ -122,7 +80,6 @@ LoadLpContext::LoadLpContext(const dc::Fleet& fleet) : fleet_(&fleet) {
                   &cls_ms_, &cls_thr_, &cls_vbr_, &cls_resp_, &cls_load_}) {
     v->reserve(groups);
   }
-  memo_slots_.assign(kMemoSlots, -1);
 }
 
 void LoadLpContext::refresh_tables(const SlotWeights& weights) {
@@ -140,7 +97,6 @@ void LoadLpContext::refresh_tables(const SlotWeights& weights) {
   }
   tables_pue_ = weights.pue;
   tables_gamma_ = weights.gamma;
-  cls_key_.clear();  // the class lanes hold old entries: rebuild, never patch
 }
 
 LoadLpContext::FleetTables LoadLpContext::tables(const SlotWeights& weights) {
@@ -149,49 +105,10 @@ LoadLpContext::FleetTables LoadLpContext::tables(const SlotWeights& weights) {
           server_count_, group_type_, type_group_};
 }
 
-bool LoadLpContext::try_patch_classes(const dc::Allocation& alloc) {
-  const std::size_t groups = alloc.size();
-  if (cls_key_.size() != 2 * groups) return false;
-  int patched = 0;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const double lv = static_cast<double>(alloc[g].level);
-    const double ac = alloc[g].active;
-    if (cls_key_[2 * g] == lv && cls_key_[2 * g + 1] == ac) continue;
-    // A group joining or leaving the active set rebuilds: the lanes hold
-    // active classes only (the bisection pays ~33 gap evaluations per solve,
-    // so a shorter lane array beats patchability).  Large diffs: rebuilding
-    // is cheaper.
-    const bool was_in = cls_key_[2 * g + 1] > kTiny;
-    const bool now_in = ac > kTiny;
-    if (was_in != now_in) return false;
-    if (now_in) {
-      if (++patched > 8) return false;
-      const std::int32_t i = cls_index_[g];
-      const std::size_t slot = level_offset_[g] + alloc[g].level;
-      // Same expressions as the full build: the patched lane is
-      // bit-identical to what a rebuild would write.
-      cls_rate_[i] = rate_table_[slot];
-      cls_slope_[i] = slope_table_[slot];
-      cls_active_[i] = ac;
-      cls_cap_[i] = cap_table_[slot];
-      cls_denom_[i] = bracket_denom_table_[slot];
-      capacity_ready_ = false;
-      if (!dirty_all_) dirty_.push_back(i);
-    }
-    cls_key_[2 * g] = lv;
-    cls_key_[2 * g + 1] = ac;
-  }
-  return true;
-}
-
 void LoadLpContext::build_classes(const dc::Allocation& alloc,
                                   const SlotWeights& weights) {
   if (classes_ready_) return;  // same alloc/weights for the whole solve()
   refresh_tables(weights);
-  if (try_patch_classes(alloc)) return;
-  cls_key_.clear();
-  dirty_.clear();
-  dirty_all_ = true;
   capacity_ready_ = false;
   cls_group_.clear();
   cls_rate_.clear();
@@ -199,13 +116,8 @@ void LoadLpContext::build_classes(const dc::Allocation& alloc,
   cls_active_.clear();
   cls_cap_.clear();
   cls_denom_.clear();
-  cls_index_.assign(alloc.size(), -1);
-  cls_key_.resize(2 * alloc.size());
   for (std::size_t g = 0; g < alloc.size(); ++g) {
-    cls_key_[2 * g] = static_cast<double>(alloc[g].level);
-    cls_key_[2 * g + 1] = alloc[g].active;
     if (alloc[g].active <= kTiny) continue;
-    cls_index_[g] = static_cast<std::int32_t>(cls_group_.size());
     cls_group_.push_back(g);
     const std::size_t slot = level_offset_[g] + alloc[g].level;
     cls_rate_.push_back(rate_table_[slot]);
@@ -323,30 +235,16 @@ double LoadLpContext::solve_linear_built(double lambda, double mu,
   if (v_beta <= kTiny) {
     greedy_fill(lambda, mu);
   } else {
-    // Per-solve invariants, hoisted out of the bisection.  They depend only
-    // on (class tables, mu, V*beta), so after a single-group patch at an
-    // unchanged price only the dirty lanes recompute; the bracket bounds are
-    // then a divide-free min/max scan.  min/max are order-insensitive, so
+    // Invariants of this linear solve, hoisted out of the bisection: they
+    // depend only on (class tables, mu, V*beta).  The bracket bounds are
+    // then a divide-free min/max scan; min/max are order-insensitive, so
     // the scan is bit-identical to the reference's fused loop.
-    if (dirty_all_ || !(mu == inv_mu_ && v_beta == inv_vbeta_)) {
-      for (std::size_t i = 0; i < n; ++i) {
-        cls_ms_[i] = mu * cls_slope_[i];
-        cls_thr_[i] = cls_ms_[i] + v_beta / cls_rate_[i];
-        cls_vbr_[i] = v_beta * cls_rate_[i];
-        cls_hib_[i] = cls_ms_[i] + v_beta / cls_denom_[i];
-      }
-      dirty_all_ = false;
-      inv_mu_ = mu;
-      inv_vbeta_ = v_beta;
-    } else {
-      for (const std::int32_t i : dirty_) {
-        cls_ms_[i] = mu * cls_slope_[i];
-        cls_thr_[i] = cls_ms_[i] + v_beta / cls_rate_[i];
-        cls_vbr_[i] = v_beta * cls_rate_[i];
-        cls_hib_[i] = cls_ms_[i] + v_beta / cls_denom_[i];
-      }
+    for (std::size_t i = 0; i < n; ++i) {
+      cls_ms_[i] = mu * cls_slope_[i];
+      cls_thr_[i] = cls_ms_[i] + v_beta / cls_rate_[i];
+      cls_vbr_[i] = v_beta * cls_rate_[i];
+      cls_hib_[i] = cls_ms_[i] + v_beta / cls_denom_[i];
     }
-    dirty_.clear();
     double lo = std::numeric_limits<double>::infinity();
     double hi = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -560,109 +458,11 @@ LoadBalanceResult LoadLpContext::solve_kinked(dc::Allocation& alloc,
   return result;
 }
 
-bool LoadLpContext::cache_valid_for(const SlotInput& input,
-                                    const SlotWeights& weights) const {
-  return cache_valid_ && cached_input_.lambda == input.lambda &&
-         cached_input_.onsite_kw == input.onsite_kw &&
-         cached_input_.price == input.price && cached_weights_.V == weights.V &&
-         cached_weights_.q == weights.q &&
-         cached_weights_.beta == weights.beta &&
-         cached_weights_.gamma == weights.gamma &&
-         cached_weights_.pue == weights.pue &&
-         cached_weights_.slot_hours == weights.slot_hours &&
-         cached_weights_.power_price == weights.power_price;
-}
-
-void LoadLpContext::memo_clear() {
-  if (memo_used_ == 0) return;
-  memo_used_ = 0;  // entries stay pooled for reuse
-  std::fill(memo_slots_.begin(), memo_slots_.end(), std::int32_t{-1});
-}
-
-std::ptrdiff_t LoadLpContext::memo_find(std::uint64_t hash,
-                                        const dc::Allocation& alloc) const {
-  const std::size_t stride = 2 * alloc.size();
-  std::size_t slot = hash & (kMemoSlots - 1);
-  while (true) {
-    const std::int32_t idx = memo_slots_[slot];
-    if (idx < 0) return -1;
-    // Bitwise key compare straight against the allocation: stored keys
-    // were written with the same casts, so representation equality is the
-    // same predicate memcmp over a materialised key would apply.
-    // All entries share one stride (the memo only ever sees one fleet).
-    if (memo_hashes_[static_cast<std::size_t>(idx)] == hash) {
-      const double* key = &memo_keys_[static_cast<std::size_t>(idx) * stride];
-      bool same = true;
-      for (std::size_t g = 0; same && g < alloc.size(); ++g) {
-        const double lv = static_cast<double>(alloc[g].level);
-        const double ac = alloc[g].active;
-        same = std::memcmp(&key[2 * g], &lv, sizeof(double)) == 0 &&
-               std::memcmp(&key[2 * g + 1], &ac, sizeof(double)) == 0;
-      }
-      if (same) return idx;
-    }
-    slot = (slot + 1) & (kMemoSlots - 1);
-  }
-}
-
-void LoadLpContext::memo_store(std::uint64_t hash,
-                               const LoadBalanceResult& result,
-                               const dc::Allocation& alloc) {
-  if (memo_used_ >= kMemoCapacity) memo_clear();
-  std::size_t slot = hash & (kMemoSlots - 1);
-  while (memo_slots_[slot] >= 0) slot = (slot + 1) & (kMemoSlots - 1);
-  const std::size_t idx = memo_used_++;
-  memo_slots_[slot] = static_cast<std::int32_t>(idx);
-  const std::size_t groups = alloc.size();
-  const std::size_t stride = 2 * groups;
-  if (memo_hashes_.size() <= idx) {  // grow once; cleared entries reuse rows
-    memo_hashes_.resize(idx + 1);
-    memo_results_.resize(idx + 1);
-    memo_keys_.resize((idx + 1) * stride);
-    memo_loads_.resize((idx + 1) * groups);
-  }
-  memo_hashes_[idx] = hash;
-  // Write the key straight from the allocation: interleaved (level,
-  // active) doubles, the stream memo_find and fnv1a_alloc both walk.
-  double* key = &memo_keys_[idx * stride];
-  for (std::size_t g = 0; g < groups; ++g) {
-    key[2 * g] = static_cast<double>(alloc[g].level);
-    key[2 * g + 1] = alloc[g].active;
-  }
-  memo_results_[idx] = result;
-  double* loads = &memo_loads_[idx * groups];
-  for (std::size_t g = 0; g < groups; ++g) loads[g] = alloc[g].load;
-}
-
 LoadBalanceResult LoadLpContext::solve(dc::Allocation& alloc,
                                        const SlotInput& input,
                                        const SlotWeights& weights) {
   ++stats_.solves;
-  const bool warm = cache_valid_for(input, weights);
-  const obs::ScopedSpan span(warm ? "load_lp_warm" : "load_lp_cold");
-  if (warm) {
-    ++stats_.warm;
-  } else {
-    ++stats_.cold;
-    memo_clear();
-  }
-
-  // Memo first: a hit returns the stored (bit-exact) result without even
-  // rebuilding the class arrays.
-  const std::uint64_t hash = fnv1a_alloc(alloc);
-  if (warm) {
-    const std::ptrdiff_t hit = memo_find(hash, alloc);
-    if (hit >= 0) {
-      ++stats_.memo_hits;
-      const double* loads =
-          &memo_loads_[static_cast<std::size_t>(hit) * alloc.size()];
-      for (std::size_t g = 0; g < alloc.size(); ++g) {
-        alloc[g].load = loads[g];
-      }
-      return memo_results_[static_cast<std::size_t>(hit)];
-    }
-  }
-
+  const obs::ScopedSpan span("load_lp");
   // One class build covers the whole solve: the allocation's levels/active
   // counts are fixed until we return, so the interior build_classes calls
   // (including the boundary regime's per-mu re-clears) short-circuit.
@@ -670,10 +470,6 @@ LoadBalanceResult LoadLpContext::solve(dc::Allocation& alloc,
   classes_ready_ = true;
   const LoadBalanceResult result = solve_kinked(alloc, input, weights);
   classes_ready_ = false;
-  cache_valid_ = true;
-  cached_input_ = input;
-  cached_weights_ = weights;
-  memo_store(hash, result, alloc);
   return result;
 }
 

@@ -1,47 +1,37 @@
 #pragma once
-// Incremental load-LP engine for the per-slot sweeps.
+// Table-driven load-LP engine for the per-slot solvers.
 //
 // `balance_loads` (opt/load_balancer.hpp) is the *reference* dual
-// water-filling solver: it rebuilds the active server classes, re-derives the
-// nu bracket and re-runs the whole bisection from scratch on every call.
-// GSD's Gibbs sweep calls it once per candidate even though a move flips a
-// single group's speed level or active count — the span profiler shows
-// `span:slot/gsd_chain/sweep_iter/load_lp` dominating slot time.
-//
-// LoadLpContext caches, per solver chain, everything a candidate solve can
-// reuse:
+// water-filling solver: it reads every group's spec, rebuilds the active
+// server classes, re-derives the nu bracket and re-runs the whole bisection
+// on every call.  GSD's Gibbs sweep, the ladder solver and the simulator's
+// actual-load rebalance solve the same fleet over and over, so
+// LoadLpContext keeps, per fleet:
 //   * the fleet's per-(group, level) terms (service rate, facility dynamic
 //     slope, gamma cap, bracket denominators), fetched once and refreshed
 //     only when the weights' pue/gamma change;
 //   * the fleet's server types — groups whose level tables are bitwise
 //     equal — so the ladder's market clearing evaluates one best response
 //     per type instead of per group (tables() exposes both to the ladder);
-//   * SoA (structure-of-arrays) lanes for the active classes, so the
-//     clamp/sqrt best response evaluates element-wise over contiguous arrays
-//     and vectorizes.  A candidate that changes a few active groups patches
-//     their lanes in place, and the per-class invariants mu*c, V*beta/x and
-//     V*beta*x are recomputed only for the patched lanes;
-//   * an exact memo of previously solved configurations, keyed by the
-//     allocation and valid while (input, weights) stay the same, so
-//     re-evaluating the kept configuration (GSD line 8) is a lookup, not a
-//     solve.
+//   * SoA (structure-of-arrays) lanes for the active classes, rebuilt from
+//     the tables at the start of every solve, so the clamp/sqrt best
+//     response evaluates element-wise over contiguous arrays and vectorizes;
+//   * table-driven replicas of `evaluate` / `allocation_facility_kw`
+//     (outcome_at, facility_kw_at) for the regime checks and the returned
+//     outcome.
 //
 // Every result is bit-for-bit identical to the reference `balance_loads`:
 // the canonical bracket, tolerances, regime order and iteration order are
-// preserved; only the memory layout, the hoisted invariants (identical
-// expressions, evaluated once) and the exact memo differ.  GSD argmins,
-// traces and goldens do not depend on whether a context is reused.
+// preserved; only the memory layout and the hoisted invariants (identical
+// expressions, evaluated once per linear solve) differ.  A solve depends
+// only on its arguments, never on earlier solves through the same context.
 //
-// Every solve is wrapped in a `load_lp_warm` or `load_lp_cold` span:
-// warm = same (input, weights) as the previous solve, so the memo was
-// consulted (i.e. any solve after the first of a slot), cold = first solve
-// or an input/weights change, which clears the memo.  Span counts stay a
-// pure function of the inputs (contexts are per chain or per controller,
+// Every solve() is wrapped in one `load_lp` span, so span counts are a pure
+// function of the solve sequence (contexts are per chain or per controller,
 // never shared across threads), preserving the repo-wide determinism
 // contract.
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -53,11 +43,6 @@ namespace coca::opt {
 /// Deterministic counters (pure function of the solve sequence).
 struct LoadLpStats {
   std::int64_t solves = 0;        ///< kinked solves (solve() calls)
-  /// Solves with the same (input, weights) as the previous one, so the memo
-  /// was consulted.
-  std::int64_t warm = 0;
-  std::int64_t cold = 0;          ///< first solve, or input/weights changed
-  std::int64_t memo_hits = 0;     ///< exact-duplicate configurations
   std::int64_t nu_iterations = 0; ///< total inner bisection iterations
 };
 
@@ -101,18 +86,10 @@ class LoadLpContext {
   const LoadLpStats& stats() const { return stats_; }
 
  private:
-  /// Rebuild the SoA class arrays for `alloc` from the cached tables.
-  /// When the previous build's class membership still matches (the common
-  /// single-group flip), the changed groups are patched in place instead of
-  /// rebuilding — the patched values come from the same table expressions,
-  /// so the arrays are bit-identical to a fresh build.
+  /// Rebuild the SoA class arrays for `alloc` from the cached tables
+  /// (a no-op while a solve() holds them).
   void build_classes(const dc::Allocation& alloc, const SlotWeights& weights);
-  /// Patch cls_* in place for groups whose (level, active) changed since the
-  /// arrays were built.  Returns false (caller rebuilds) when the class set
-  /// changed or the diff is too large to be worth patching.
-  bool try_patch_classes(const dc::Allocation& alloc);
-  /// Re-derive the pue/gamma-dependent tables when pue or gamma change;
-  /// the class arrays copied the old entries, so they are dropped too.
+  /// Re-derive the pue/gamma-dependent tables when pue or gamma change.
   void refresh_tables(const SlotWeights& weights);
   /// Table-driven replica of opt::evaluate(): identical expressions, check
   /// order and group-order summation (bit-for-bit), with the spec lookups
@@ -134,22 +111,6 @@ class LoadLpContext {
   /// built class arrays; identical decision sequence to `balance_loads`.
   LoadBalanceResult solve_kinked(dc::Allocation& alloc, const SlotInput& input,
                                  const SlotWeights& weights);
-  /// True when (input, weights) equal the previous solve's, i.e. the memo
-  /// still describes this slot.
-  bool cache_valid_for(const SlotInput& input,
-                       const SlotWeights& weights) const;
-  /// Memo keys cover only the allocation: the memo is consulted only while
-  /// (input, weights) match the previous solve and is cleared on every cold
-  /// solve, so input and weights are invariant across entries.
-  void memo_clear();
-  /// Returns the entry index, or -1 when the configuration is not memoised.
-  /// Compares stored keys bitwise against the allocation itself, so probing
-  /// needs no materialised key vector.
-  std::ptrdiff_t memo_find(std::uint64_t hash,
-                           const dc::Allocation& alloc) const;
-  /// Inserts the solved configuration; materialises the key only here.
-  void memo_store(std::uint64_t hash, const LoadBalanceResult& result,
-                  const dc::Allocation& alloc);
   /// Table-driven replica of `allocation_facility_kw` (pue * it power, same
   /// expressions and group order bit-for-bit); defers to the reference on any
   /// power-model check failure, mirroring outcome_at's fallback design.
@@ -185,23 +146,13 @@ class LoadLpContext {
   // interior rebuilds (the boundary regime's outer bisection re-clears the
   // same classes at every mu iterate).
   bool classes_ready_ = false;
-  // Delta-build state: `cls_key_` is the (level, active) key the class
-  // arrays currently describe (empty = arrays invalid), `cls_index_` maps
-  // group -> class index (-1 when inactive), `dirty_` lists the classes
-  // patched since the per-solve invariants were last refreshed.
-  std::vector<double> cls_key_;
-  std::vector<std::int32_t> cls_index_;
-  std::vector<std::int32_t> dirty_;
-  bool dirty_all_ = true;
-  double inv_mu_ = std::numeric_limits<double>::quiet_NaN();
-  double inv_vbeta_ = std::numeric_limits<double>::quiet_NaN();
   std::vector<std::size_t> cls_group_;
   std::vector<double> cls_rate_;
   std::vector<double> cls_slope_;
   std::vector<double> cls_active_;
   std::vector<double> cls_cap_;
   std::vector<double> cls_denom_;
-  // Per-solve invariants (depend on mu and V*beta).
+  // Per-linear-solve invariants (depend on mu and V*beta).
   std::vector<double> cls_ms_;   ///< mu * slope
   std::vector<double> cls_thr_;  ///< activation threshold mu*c + V*beta/x
   std::vector<double> cls_vbr_;  ///< V*beta * x
@@ -214,24 +165,6 @@ class LoadLpContext {
   double built_capacity_ = 0.0;
   bool capacity_ready_ = false;
   std::vector<std::size_t> order_;  ///< greedy_fill scratch
-
-  // (input, weights) of the previous solve: the memo's validity key.
-  bool cache_valid_ = false;
-  SlotInput cached_input_;
-  SlotWeights cached_weights_;
-
-  // Exact-duplicate memo (cleared on input/weights change): open-addressed
-  // hash table over `memo_slots_` (entry indices, -1 = empty) so lookups
-  // stay O(1) as the sweep fills the memo.  Entry storage is flat SoA —
-  // keys and solved loads live in contiguous arrays at a fixed per-entry
-  // stride — so probes touch two cache lines and clearing just resets
-  // `memo_used_`; the steady-state sweep allocates nothing.
-  std::size_t memo_used_ = 0;
-  std::vector<std::uint64_t> memo_hashes_;
-  std::vector<double> memo_keys_;    ///< flat, stride = 2 * groups
-  std::vector<double> memo_loads_;   ///< flat, stride = groups
-  std::vector<LoadBalanceResult> memo_results_;
-  std::vector<std::int32_t> memo_slots_;
 };
 
 }  // namespace coca::opt

@@ -23,10 +23,9 @@ SlotOutcome rescore(const SlotOutcome& outcome, const SlotWeights& weights,
 TieredSlotResult solve_tiered_slot(const dc::Fleet& fleet,
                                    const SlotInput& input,
                                    const SlotWeights& weights,
-                                   const energy::TieredTariff& tariff,
-                                   const LadderConfig& ladder) {
-  LadderSolver solver(ladder);
-  CappedSlotSolver capped(ladder);
+                                   const energy::TieredTariff& tariff) {
+  const LadderSolver solver;
+  const CappedSlotSolver capped;
 
   TieredSlotResult best;
   best.solution.outcome.objective = std::numeric_limits<double>::infinity();

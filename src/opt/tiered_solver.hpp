@@ -34,7 +34,6 @@ struct TieredSlotResult {
 TieredSlotResult solve_tiered_slot(const dc::Fleet& fleet,
                                    const SlotInput& input,
                                    const SlotWeights& weights,
-                                   const energy::TieredTariff& tariff,
-                                   const LadderConfig& ladder = {});
+                                   const energy::TieredTariff& tariff);
 
 }  // namespace coca::opt

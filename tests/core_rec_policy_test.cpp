@@ -210,6 +210,14 @@ TEST(RecPolicy, ConstructionValidation) {
                    s.fleet, base_config(s, 1.0, 0.0),
                    RecMarketConfig{Trace("p", {0.01}), 0.0, 0.0}),
                std::invalid_argument);
+  // The controller plans with the ladder only: a GSD config must not be
+  // silently planned with the wrong engine.
+  CocaConfig gsd = base_config(s, 1.0, 0.0);
+  gsd.engine = P3Engine::kGsd;
+  EXPECT_THROW(DynamicRecCocaController(s.fleet, gsd,
+                                        RecMarketConfig{Trace("p", {0.01}),
+                                                        0.0, 100.0}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 //     "obs.trace_dropped" counter) while a gated writer holds the ring full,
 //   * flush() makes everything recorded so far visible without destruction,
 //   * destruction during exception unwinding still leaves a complete trace,
-//   * ring high-water tracking, file-sink round-trip and env-knob parsing.
+//   * ring high-water tracking and file-sink round-trip.
 
 #include "obs/async_sink.hpp"
 
@@ -13,7 +13,6 @@
 
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -224,37 +223,6 @@ TEST(AsyncTraceSink, FileSinkRoundTrips) {
 TEST(AsyncTraceSink, FileSinkThrowsWhenUnopenable) {
   EXPECT_THROW(AsyncTraceSink("/nonexistent-dir/trace.jsonl"),
                std::runtime_error);
-}
-
-TEST(AsyncTraceSink, OptionsFromEnvParsesKnobs) {
-  unsetenv("COCA_OBS_ASYNC_RING");
-  unsetenv("COCA_OBS_ASYNC_POLICY");
-  unsetenv("COCA_OBS_ASYNC");
-  const AsyncSinkOptions defaults = AsyncTraceSink::options_from_env();
-  EXPECT_EQ(defaults.ring_capacity, 1024u);
-  EXPECT_EQ(defaults.policy, Backpressure::kBlock);
-  EXPECT_FALSE(AsyncTraceSink::enabled_by_env());
-
-  setenv("COCA_OBS_ASYNC_RING", "64", 1);
-  setenv("COCA_OBS_ASYNC_POLICY", "drop", 1);
-  setenv("COCA_OBS_ASYNC", "1", 1);
-  const AsyncSinkOptions parsed = AsyncTraceSink::options_from_env();
-  EXPECT_EQ(parsed.ring_capacity, 64u);
-  EXPECT_EQ(parsed.policy, Backpressure::kDropNewest);
-  EXPECT_TRUE(AsyncTraceSink::enabled_by_env());
-
-  // Invalid values keep the defaults rather than guessing.
-  setenv("COCA_OBS_ASYNC_RING", "not-a-number", 1);
-  setenv("COCA_OBS_ASYNC_POLICY", "maybe", 1);
-  setenv("COCA_OBS_ASYNC", "0", 1);
-  const AsyncSinkOptions fallback = AsyncTraceSink::options_from_env();
-  EXPECT_EQ(fallback.ring_capacity, 1024u);
-  EXPECT_EQ(fallback.policy, Backpressure::kBlock);
-  EXPECT_FALSE(AsyncTraceSink::enabled_by_env());
-
-  unsetenv("COCA_OBS_ASYNC_RING");
-  unsetenv("COCA_OBS_ASYNC_POLICY");
-  unsetenv("COCA_OBS_ASYNC");
 }
 
 }  // namespace

@@ -160,23 +160,19 @@ TEST(ObsTraceGolden, SpanProfileFooterBitIdenticalAcrossThreadCounts) {
   EXPECT_NE(footer.find("\"slot\""), std::string::npos);
   EXPECT_NE(footer.find("slot/gsd_chain[3]"), std::string::npos);
   EXPECT_NE(footer.find("slot/gsd_chain[0]/sweep_iter"), std::string::npos);
-  // The incremental load-LP engine classifies every solve as warm (same
-  // input as the previous solve, memo consulted) or cold (first solve of the
-  // slot).
-  // Candidate solves inside the sweep run warm; the slot's initial solve is
-  // the one cold solve, so `sweep_iter/load_lp_cold` must never appear.
-  EXPECT_NE(footer.find("slot/gsd_chain[0]/sweep_iter/load_lp_warm"),
+  // Every load-LP solve opens one `load_lp` span: candidate solves sit
+  // under `sweep_iter`.
+  EXPECT_NE(footer.find("slot/gsd_chain[0]/sweep_iter/load_lp"),
             std::string::npos);
-  EXPECT_EQ(footer.find("sweep_iter/load_lp_cold"), std::string::npos);
   // Chain count per slot: one span per chain per slot, at any thread count.
-  // The initial (cold) solve rides the same invariant: exactly one per
-  // chain per slot.
+  // The chain's initial solve (line 1) rides the same invariant: exactly one
+  // per chain per slot, since line 8 returns the kept solve unsolved.
   const std::string chain_span =
       "\"path\":\"slot/gsd_chain[0]\",\"count\":30";
   EXPECT_NE(footer.find(chain_span), std::string::npos) << footer;
-  const std::string cold_span =
-      "\"path\":\"slot/gsd_chain[0]/load_lp_cold\",\"count\":30";
-  EXPECT_NE(footer.find(cold_span), std::string::npos) << footer;
+  const std::string initial_span =
+      "\"path\":\"slot/gsd_chain[0]/load_lp\",\"count\":30";
+  EXPECT_NE(footer.find(initial_span), std::string::npos) << footer;
 #endif
 }
 

@@ -1,15 +1,20 @@
 // Tests for GSD (Algorithm 2): the acceptance rule, convergence toward the
 // global optimum (Theorem 1's claim), temperature effects, initial-point
-// insensitivity (Fig. 4(b)) and feasibility handling.
+// insensitivity (Fig. 4(b)), feasibility handling, and the exactness of
+// reusing the kept configuration's solve.
 
 #include "opt/gsd.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "opt/exhaustive_solver.hpp"
+#include "opt/load_balancer.hpp"
 #include "util/rng.hpp"
 
 namespace coca::opt {
@@ -337,6 +342,117 @@ TEST(Gsd, HandlesDeficitPressure) {
   ASSERT_TRUE(pressured.best.feasible);
   EXPECT_LE(pressured.best.outcome.brown_kwh,
             relaxed.best.outcome.brown_kwh * (1.0 + 1e-9));
+}
+
+/// Algorithm 2 with GsdSolver's draws and proposals (one chain, fixed
+/// temperature, default initial point), except that every feasible
+/// exploration and the final kept configuration are solved from scratch
+/// with the reference balance_loads.
+GsdResult solve_every_exploration(const dc::Fleet& fleet,
+                                  const SlotInput& input,
+                                  const SlotWeights& weights,
+                                  const GsdConfig& config) {
+  GsdResult result;
+  util::Rng rng(config.seed);
+  const auto adopt = [](const dc::Allocation& alloc,
+                        const LoadBalanceResult& balanced) {
+    return SlotSolution{alloc, balanced.outcome, balanced.regime,
+                        balanced.effective_price, balanced.feasible};
+  };
+  dc::Allocation kept = all_on_max(fleet, input.lambda, weights.gamma);
+  const auto initial = balance_loads(fleet, kept, input, weights);
+  ++result.evaluations;
+  double kept_objective = initial.outcome.objective;
+  dc::Allocation explored = kept;
+  SlotSolution best = adopt(kept, initial);
+  for (int iter = 0; iter < config.iterations; ++iter) {
+    if (dc::capped_capacity(fleet, explored, weights.gamma) >=
+        input.lambda * (1.0 - 1e-12)) {
+      dc::Allocation candidate = explored;
+      const auto balanced = balance_loads(fleet, candidate, input, weights);
+      ++result.evaluations;
+      const double objective = balanced.outcome.objective;
+      if (rng.bernoulli(GsdSolver::acceptance_probability(
+              config.delta, objective, kept_objective))) {
+        kept = candidate;
+        kept_objective = objective;
+        ++result.accepted;
+        if (balanced.feasible && objective < best.outcome.objective) {
+          best = adopt(candidate, balanced);
+        }
+      } else {
+        explored = kept;
+      }
+    }
+    const std::size_t g = rng.uniform_index(fleet.group_count());
+    const auto& group = fleet.group(g);
+    const std::size_t option = rng.uniform_index(group.spec().level_count() + 1);
+    if (option == 0) {
+      explored[g].level = 0;
+      explored[g].active = 0.0;
+    } else {
+      const double servers = static_cast<double>(group.server_count());
+      const double chunk =
+          std::ceil(servers / static_cast<double>(config.count_steps));
+      const auto step =
+          rng.uniform_index(static_cast<std::uint64_t>(config.count_steps)) + 1;
+      explored[g].level = option - 1;
+      explored[g].active =
+          std::min(servers, chunk * static_cast<double>(step));
+    }
+    result.trajectory.push_back(kept_objective);
+  }
+  result.solution = adopt(kept, balance_loads(fleet, kept, input, weights));
+  result.best = best;
+  return result;
+}
+
+void expect_same_solution(const SlotSolution& expected,
+                          const SlotSolution& actual, const char* which) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(expected.outcome.objective),
+            std::bit_cast<std::uint64_t>(actual.outcome.objective))
+      << which;
+  ASSERT_EQ(expected.alloc.size(), actual.alloc.size()) << which;
+  for (std::size_t g = 0; g < expected.alloc.size(); ++g) {
+    EXPECT_EQ(expected.alloc[g].level, actual.alloc[g].level) << which;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(expected.alloc[g].active),
+              std::bit_cast<std::uint64_t>(actual.alloc[g].active))
+        << which << " group " << g;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(expected.alloc[g].load),
+              std::bit_cast<std::uint64_t>(actual.alloc[g].load))
+        << which << " group " << g;
+  }
+}
+
+TEST(Gsd, KeptSolveReuseMatchesSolvingEveryExploration) {
+  // Coarse proposals on a small fleet revisit the kept configuration often,
+  // and a moderate temperature both accepts and rejects: the chain that
+  // reuses the kept solve must follow the solve-everything chain bit for
+  // bit, through every acceptance, to the returned kept and best points.
+  const auto fleet = small_fleet();
+  const SlotInput input{20.0, 0.0, 0.06};
+  const auto w = test_weights();
+  GsdConfig config;
+  config.iterations = 2'000;
+  config.count_steps = 2;
+  config.delta = 50.0;
+  config.seed = 6;
+  config.record_trajectory = true;
+
+  const auto expected = solve_every_exploration(fleet, input, w, config);
+  const auto actual = GsdSolver(config).solve(fleet, input, w);
+  EXPECT_EQ(expected.evaluations, actual.evaluations);
+  EXPECT_EQ(expected.accepted, actual.accepted);
+  ASSERT_EQ(expected.trajectory.size(), actual.trajectory.size());
+  for (std::size_t i = 0; i < expected.trajectory.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(expected.trajectory[i]),
+              std::bit_cast<std::uint64_t>(actual.trajectory[i]))
+        << "iteration " << i;
+  }
+  expect_same_solution(expected.solution, actual.solution, "kept");
+  expect_same_solution(expected.best, actual.best, "best");
+  // The reuse really ran: some evaluations were answered without a solve.
+  EXPECT_LT(actual.lp_stats.solves, actual.evaluations);
 }
 
 }  // namespace

@@ -5,9 +5,8 @@
 // every load and the full SlotOutcome breakdown — across randomized fleets,
 // weights, lambdas and thousands of GSD-style single-group flip sequences,
 // including forced regime flips across the [p - r]^+ kink and
-// infeasible-capacity transitions.  The warm/cold/memo counters follow the
-// (input, weights) sequence, and the fleet tables and server types the
-// ladder reads agree with the specs.
+// infeasible-capacity transitions.  The counters count every solve, and the
+// fleet tables and server types the ladder reads agree with the specs.
 //
 // All randomness is seeded through util::Rng (see tools/lint_determinism.py):
 // every run of this binary executes the exact same solve sequence.
@@ -285,7 +284,7 @@ TEST(IncrementalLp, BitExactAcrossInfeasibleCapacityTransitions) {
 
 // --- engine mechanics ------------------------------------------------------
 
-TEST(IncrementalLp, ExactMemoHitOnRepeatedConfiguration) {
+TEST(IncrementalLp, RepeatedConfigurationIsBitIdentical) {
   const auto fleet = two_group_fleet();
   SlotWeights w;
   w.V = 1.0;
@@ -309,11 +308,10 @@ TEST(IncrementalLp, ExactMemoHitOnRepeatedConfiguration) {
   dc::Allocation again = a;
   const auto r2 = ctx.solve(again, input, w);
 
-  EXPECT_GE(ctx.stats().memo_hits, 1);
-  expect_bit_identical(r1, r2, first, again, "memo replay");
+  expect_bit_identical(r1, r2, first, again, "repeated configuration");
 }
 
-TEST(IncrementalLp, StatsClassifyWarmAndColdSolves) {
+TEST(IncrementalLp, StatsCountEverySolve) {
   const auto fleet = two_group_fleet();
   SlotWeights w;
   w.V = 1.0;
@@ -328,22 +326,21 @@ TEST(IncrementalLp, StatsClassifyWarmAndColdSolves) {
 
   SlotInput input{30.0, 0.0, 0.06};
   auto c1 = alloc;
-  ctx.solve(c1, input, w);  // first solve of the slot: cold
+  ctx.solve(c1, input, w);
   auto c2 = alloc;
   c2[0].active = 4.0;
-  ctx.solve(c2, input, w);  // same slot: warm
-  input.lambda = 31.0;      // new slot clears the memo
+  ctx.solve(c2, input, w);
+  input.lambda = 31.0;  // a new slot's input
   auto c3 = alloc;
-  ctx.solve(c3, input, w);  // cold again
+  ctx.solve(c3, input, w);
 
   EXPECT_EQ(ctx.stats().solves, 3);
-  EXPECT_EQ(ctx.stats().cold, 2);
-  EXPECT_EQ(ctx.stats().warm, 1);
+  EXPECT_GT(ctx.stats().nu_iterations, 0);
 }
 
 TEST(IncrementalLp, FreshContextReproducesWarmContextBitForBit) {
-  // Cache state must be invisible in the results: a context that has seen
-  // unrelated solves answers exactly like a fresh one.
+  // Earlier solves must be invisible in the results: a context that has
+  // seen unrelated solves answers exactly like a fresh one.
   util::Rng rng(4242);
   const auto fleet = random_fleet(rng);
   const auto weights = random_weights(rng);

@@ -35,13 +35,10 @@ void expect_same_alloc(const dc::Allocation& a, const dc::Allocation& b) {
 }
 
 void expect_same_lp_stats(const opt::LoadLpStats& a, const opt::LoadLpStats& b) {
-  // The load-LP engine's warm/cold/memo counters are part of the contract:
-  // per-chain contexts make them a pure function of the config, so thread
-  // count must not move them.
+  // The load-LP engine's counters are part of the contract: per-chain
+  // contexts make them a pure function of the config, so thread count must
+  // not move them.
   EXPECT_EQ(a.solves, b.solves);
-  EXPECT_EQ(a.warm, b.warm);
-  EXPECT_EQ(a.cold, b.cold);
-  EXPECT_EQ(a.memo_hits, b.memo_hits);
   EXPECT_EQ(a.nu_iterations, b.nu_iterations);
 }
 
@@ -100,12 +97,9 @@ TEST(MultiChainGsdDeterminism, OneThreadMatchesManyThreadsBitwise) {
 
   expect_same_gsd_result(serial, parallel);
   expect_same_gsd_result(serial, default_threads);
-  // The engine really ran warm: one cold solve per chain, the rest warm.
-  EXPECT_EQ(serial.lp_stats.cold, 4);
-  EXPECT_GT(serial.lp_stats.warm, 0);
-  EXPECT_EQ(serial.lp_stats.solves,
-            serial.lp_stats.warm + serial.lp_stats.cold);
-  EXPECT_LE(serial.lp_stats.memo_hits, serial.lp_stats.warm);
+  // Every solve is an evaluation; evaluations that land back on a chain's
+  // kept configuration reuse its solve.
+  EXPECT_LE(serial.lp_stats.solves, serial.evaluations);
 }
 
 TEST(MultiChainGsdDeterminism, RepeatedInvocationsAreBitIdentical) {

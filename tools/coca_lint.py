@@ -44,7 +44,7 @@ Checks (run `--list-checks` for the one-liners):
                    lock() on a tracked lock variable toggles coverage.
 
   obs-hygiene      (a) Public solver/controller entry points — definitions
-                   of solve/solve_chain/solve_batch/plan/observe/
+                   of solve/solve_chain/plan/observe/
                    run_simulation/on_slot under src/opt, src/core, src/sim,
                    src/des, src/obs (the health plane's per-slot hooks) —
                    must open an obs::ScopedSpan or carry an
@@ -726,7 +726,7 @@ def check_lock_discipline(files: list[SourceFile]) -> list[Finding]:
 # ---------------------------------------------------------------------------
 # Check: obs-hygiene
 
-ENTRY_POINT_NAMES = {"solve", "solve_chain", "solve_batch", "plan", "observe",
+ENTRY_POINT_NAMES = {"solve", "solve_chain", "plan", "observe",
                      "run_simulation", "replay", "on_slot"}
 ENTRY_POINT_DIRS = ("src/opt/", "src/core/", "src/sim/", "src/des/",
                     "src/obs/")
