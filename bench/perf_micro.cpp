@@ -73,8 +73,7 @@ void BM_LoadBalance(benchmark::State& state) {
 BENCHMARK(BM_LoadBalance)->Arg(50)->Arg(200);
 
 // Args: group count, and 1 for an all-distinct-spec fleet (one server type
-// per group) vs 0 for the default four generations.  The solve goes through
-// a fleet-bound context, the way the controllers call the ladder.
+// per group) vs 0 for the default four generations.
 void BM_LadderSolveSlot(benchmark::State& state) {
   const auto& scenario =
       snapshot_scenario(state.range(0), state.range(1) != 0);
@@ -83,9 +82,8 @@ void BM_LadderSolveSlot(benchmark::State& state) {
   weights.V = 1.0;
   weights.q = 100.0;
   opt::LadderSolver solver;
-  opt::LoadLpContext lp(scenario.fleet);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(scenario.fleet, input, weights, &lp));
+    benchmark::DoNotOptimize(solver.solve(scenario.fleet, input, weights));
   }
 }
 BENCHMARK(BM_LadderSolveSlot)
@@ -203,7 +201,7 @@ std::vector<double> run_v_sweep(const sim::Scenario& scenario,
 // Incremental load-LP engine regression: replay one GSD-style single-flip
 // candidate chain two ways over identical allocations —
 //   reference     : opt::balance_loads per candidate (the seed baseline),
-//   incremental   : LoadLpContext (the sweep's engine),
+//   incremental   : opt::solve_load_lp (the sweep's engine),
 // and record wall times plus the exactness verdict.  `bit_identical` is a
 // deterministic meta (bench_diff fails CI if the engine ever drifts off the
 // reference); `speedup_vs_reference` is timing and ratio-gated by the
@@ -289,7 +287,7 @@ void add_load_lp_regression(obs::BenchReport& report) {
   std::vector<double> ref_objectives(chain.size());
   double reference_ms = std::numeric_limits<double>::infinity();
   double incremental_ms = std::numeric_limits<double>::infinity();
-  std::size_t mismatches = 0;  // the context must carry the exact bits
+  std::size_t mismatches = 0;  // the engine must carry the exact bits
   for (int rep = 0; rep < kReps; ++rep) {
     const double ref_ms = timed([&] {
       for (std::size_t i = 0; i < chain.size(); ++i) {
@@ -302,11 +300,11 @@ void add_load_lp_regression(obs::BenchReport& report) {
     reference_ms = std::min(reference_ms, ref_ms);
     total_ms += ref_ms;
 
-    opt::LoadLpContext exact_ctx(scenario.fleet);  // fresh context per rep
     const double inc_ms = timed([&] {
       for (std::size_t i = 0; i < chain.size(); ++i) {
         auto alloc = chain[i];
-        const auto result = exact_ctx.solve(alloc, input, weights);
+        const auto result =
+            opt::solve_load_lp(scenario.fleet, alloc, input, weights);
         if (std::bit_cast<std::uint64_t>(result.outcome.objective) !=
             std::bit_cast<std::uint64_t>(ref_objectives[i])) {
           ++mismatches;

@@ -4,7 +4,7 @@ namespace coca::baselines {
 
 CarbonUnawareController::CarbonUnawareController(const dc::Fleet& fleet,
                                                  opt::SlotWeights weights)
-    : fleet_(&fleet), weights_(weights), lp_(fleet) {
+    : fleet_(&fleet), weights_(weights) {
   // Pure cost minimization: V = 1, no deficit pressure.
   weights_.V = 1.0;
   weights_.q = 0.0;
@@ -13,12 +13,7 @@ CarbonUnawareController::CarbonUnawareController(const dc::Fleet& fleet,
 opt::SlotSolution CarbonUnawareController::plan(std::size_t t,
                                                 const opt::SlotInput& input) {
   (void)t;
-  return solver_.solve(*fleet_, input, weights_, &lp_);
-}
-
-void CarbonUnawareController::set_fleet(const dc::Fleet& fleet) {
-  fleet_ = &fleet;
-  lp_ = opt::LoadLpContext(fleet);
+  return solver_.solve(*fleet_, input, weights_);
 }
 
 }  // namespace coca::baselines

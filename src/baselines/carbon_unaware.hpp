@@ -17,15 +17,13 @@ class CarbonUnawareController final : public core::SlotController {
   opt::SlotSolution plan(std::size_t t, const opt::SlotInput& input) override;
 
   /// Stateless per-slot minimizer: capacity hot-swap (fault injection)
-  /// re-seats the fleet pointer and rebuilds the fleet-bound context.
-  void set_fleet(const dc::Fleet& fleet) override;
+  /// re-seats the fleet pointer.
+  void set_fleet(const dc::Fleet& fleet) override { fleet_ = &fleet; }
 
  private:
   const dc::Fleet* fleet_;
   opt::SlotWeights weights_;
   opt::LadderSolver solver_;
-  /// Fleet tables and load-LP scratch for `*fleet_`; rebuilt in set_fleet.
-  opt::LoadLpContext lp_;
 };
 
 }  // namespace coca::baselines

@@ -5,13 +5,6 @@
 
 namespace coca::baselines {
 
-double LookaheadResult::benchmark_average_cost() const {
-  if (frame_costs.empty()) return 0.0;
-  double sum = 0.0;
-  for (double c : frame_costs) sum += c;
-  return sum / static_cast<double>(frame_costs.size());
-}
-
 LookaheadResult solve_lookahead(const dc::Fleet& fleet,
                                 std::span<const double> lambda,
                                 std::span<const double> onsite_kw,

@@ -7,7 +7,7 @@
 // subject to the frame's own neutrality constraint (15) with budget
 // alpha * (sum of f over the frame + Z/R).  Each frame is solved with the
 // same Lagrangian-dual machinery as the year-long OPT.  Outputs the per-frame
-// optima G_r^* and the benchmark average (1/R) * sum_r G_r^* of Theorem 2.
+// optima G_r^*, whose average (1/R) * sum_r G_r^* is Theorem 2's benchmark.
 
 #include "baselines/offline_opt.hpp"
 #include "energy/budget.hpp"
@@ -21,9 +21,6 @@ struct LookaheadResult {
   std::vector<bool> frame_budget_met;
   units::Usd total_cost;
   units::KiloWattHours total_brown_kwh;
-
-  /// Theorem 2's benchmark: (1/R) sum_r G_r^*.
-  double benchmark_average_cost() const;
 };
 
 /// Solve P2 for every frame.  Span sizes must be equal and a multiple of

@@ -4,7 +4,9 @@
 #include <stdexcept>
 
 namespace coca::baselines {
+namespace {
 
+/// One relaxed pass: solve every slot at a fixed multiplier.
 OfflineSchedule solve_with_multiplier(const dc::Fleet& fleet,
                                       std::span<const double> lambda,
                                       std::span<const double> onsite_kw,
@@ -32,6 +34,8 @@ OfflineSchedule solve_with_multiplier(const dc::Fleet& fleet,
   }
   return schedule;
 }
+
+}  // namespace
 
 OfflineSchedule solve_offline_opt(const dc::Fleet& fleet,
                                   std::span<const double> lambda,

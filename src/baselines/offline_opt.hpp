@@ -42,13 +42,4 @@ OfflineSchedule solve_offline_opt(const dc::Fleet& fleet,
                                   double allowance_kwh,
                                   const OfflineOptConfig& config = {});
 
-/// One relaxed pass: solve every slot at a fixed multiplier.  Exposed for
-/// the lookahead family and tests.
-OfflineSchedule solve_with_multiplier(const dc::Fleet& fleet,
-                                      std::span<const double> lambda,
-                                      std::span<const double> onsite_kw,
-                                      std::span<const double> price,
-                                      const opt::SlotWeights& weights,
-                                      double multiplier);
-
 }  // namespace coca::baselines

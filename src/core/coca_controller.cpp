@@ -7,12 +7,7 @@
 namespace coca::core {
 
 CocaController::CocaController(const dc::Fleet& fleet, CocaConfig config)
-    : fleet_(&fleet), config_(std::move(config)), lp_(fleet) {}
-
-void CocaController::set_fleet(const dc::Fleet& fleet) {
-  fleet_ = &fleet;
-  lp_ = opt::LoadLpContext(fleet);
-}
+    : fleet_(&fleet), config_(std::move(config)) {}
 
 opt::SlotSolution CocaController::plan(std::size_t t,
                                        const opt::SlotInput& input) {
@@ -49,7 +44,7 @@ opt::SlotSolution CocaController::plan(std::size_t t,
   last_solve_.solver_chains = 0;
   last_solve_.solver_winning_chain = -1;
   const obs::ScopedSpan ladder_span("ladder_solve");
-  return ladder_.solve(*fleet_, input, weights, &lp_);
+  return ladder_.solve(*fleet_, input, weights);
 }
 
 void CocaController::observe(std::size_t t, const opt::SlotOutcome& billed,

@@ -56,10 +56,9 @@ class CocaController final : public SlotController {
 
   /// Hot-swap the managed fleet mid-run (failure / repair events): the
   /// carbon-deficit queue and the V schedule carry over, only capacity
-  /// changes, and the ladder's fleet-bound context is rebuilt.  The fleet
-  /// must keep the same group structure (allocations are per group) and must
-  /// outlive the controller.
-  void set_fleet(const dc::Fleet& fleet) override;
+  /// changes.  The fleet must keep the same group structure (allocations are
+  /// per group) and must outlive the controller.
+  void set_fleet(const dc::Fleet& fleet) override { fleet_ = &fleet; }
 
   /// Deadline-overrun hook: caps GSD at `max_evaluations` objective
   /// evaluations per solve (anytime: the best-so-far point is returned);
@@ -83,8 +82,6 @@ class CocaController final : public SlotController {
   CocaConfig config_;
   CarbonDeficitQueue queue_;
   opt::LadderSolver ladder_;
-  /// Fleet tables and load-LP scratch for `*fleet_`; rebuilt in set_fleet.
-  opt::LoadLpContext lp_;
   std::int64_t eval_budget_ = -1;  ///< GSD evaluation cap; < 0 = unlimited
   /// Solver internals of the most recent plan() (for diagnostics()).
   SlotDiagnostics last_solve_;

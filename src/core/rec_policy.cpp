@@ -1,6 +1,7 @@
 #include "core/rec_policy.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "core/checkpoint.hpp"
@@ -14,8 +15,7 @@ DynamicRecCocaController::DynamicRecCocaController(const dc::Fleet& fleet,
                                                    RecMarketConfig market)
     : fleet_(&fleet),
       config_(std::move(config)),
-      market_(std::move(market)),
-      lp_(fleet) {
+      market_(std::move(market)) {
   if (config_.engine != P3Engine::kLadder) {
     throw std::invalid_argument("DynamicRecCoca: only the ladder engine plans");
   }
@@ -27,11 +27,6 @@ DynamicRecCocaController::DynamicRecCocaController(const dc::Fleet& fleet,
   }
 }
 
-void DynamicRecCocaController::set_fleet(const dc::Fleet& fleet) {
-  fleet_ = &fleet;
-  lp_ = opt::LoadLpContext(fleet);
-}
-
 opt::SlotSolution DynamicRecCocaController::plan(std::size_t t,
                                                  const opt::SlotInput& input) {
   if (config_.schedule.is_frame_start(t)) queue_.reset();
@@ -39,7 +34,7 @@ opt::SlotSolution DynamicRecCocaController::plan(std::size_t t,
   weights.V = config_.schedule.v_for_slot(t);
   weights.q = queue_.length();
   const obs::ScopedSpan ladder_span("ladder_solve");
-  return ladder_.solve(*fleet_, input, weights, &lp_);
+  return ladder_.solve(*fleet_, input, weights);
 }
 
 double DynamicRecCocaController::purchase_decision(std::size_t t,
@@ -111,15 +106,30 @@ std::string DynamicRecCocaController::checkpoint(std::size_t upto_slot) const {
 
 void DynamicRecCocaController::restore(const std::string& blob) {
   const obs::JsonValue doc = parse_checkpoint(blob, name());
-  queue_from_json(doc.at("queue"), queue_);
-  const auto& ledger = doc.at("ledger");
-  ledger_.restore(ledger.at("purchased").as_double(),
-                  ledger.at("retired").as_double());
-  spend_ = doc.at("spend").as_double();
-  purchases_.clear();
+  // Everything is read and checked into locals first, so a rejected blob
+  // leaves the controller exactly as it was.
+  const auto non_negative = [](double value, const char* what) {
+    if (!std::isfinite(value) || value < 0.0) {
+      throw std::invalid_argument(
+          std::string("DynamicRecCoca::restore: invalid ") + what);
+    }
+    return value;
+  };
+  CarbonDeficitQueue queue;
+  queue_from_json(doc.at("queue"), queue);
+  energy::RecLedger ledger;
+  const auto& ledger_doc = doc.at("ledger");
+  ledger.restore(ledger_doc.at("purchased").as_double(),
+                 ledger_doc.at("retired").as_double());
+  const double spend = non_negative(doc.at("spend").as_double(), "spend");
+  std::vector<double> purchases;
   for (const auto& entry : doc.at("purchases").as_array()) {
-    purchases_.push_back(entry.as_double());
+    purchases.push_back(non_negative(entry.as_double(), "purchase"));
   }
+  queue_ = std::move(queue);
+  ledger_ = ledger;
+  spend_ = spend;
+  purchases_ = std::move(purchases);
   obs::count("rec.restores");
 }
 

@@ -47,11 +47,10 @@ class DynamicRecCocaController final : public SlotController {
   double diagnostic_queue_length() const override { return queue_.length(); }
   SlotDiagnostics diagnostics(std::size_t t) const override;
 
-  /// Degraded-mode hooks: capacity hot-swap (rebuilding the ladder's
-  /// fleet-bound context) plus coca-ckpt-v1 crash/restart covering the full
-  /// purchasing state (queue, ledger, spend, purchase history) on top of the
-  /// base COCA queue.
-  void set_fleet(const dc::Fleet& fleet) override;
+  /// Degraded-mode hooks: capacity hot-swap plus coca-ckpt-v1 crash/restart
+  /// covering the full purchasing state (queue, ledger, spend, purchase
+  /// history) on top of the base COCA queue.
+  void set_fleet(const dc::Fleet& fleet) override { fleet_ = &fleet; }
   bool supports_checkpoint() const override { return true; }
   std::string checkpoint(std::size_t upto_slot) const override;
   void restore(const std::string& blob) override;
@@ -78,8 +77,6 @@ class DynamicRecCocaController final : public SlotController {
   RecMarketConfig market_;
   CarbonDeficitQueue queue_;
   opt::LadderSolver ladder_;
-  /// Fleet tables and load-LP scratch for `*fleet_`; rebuilt in set_fleet.
-  opt::LoadLpContext lp_;
   energy::RecLedger ledger_;
   double spend_ = 0.0;
   std::vector<double> purchases_;

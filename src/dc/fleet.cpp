@@ -1,12 +1,75 @@
 #include "dc/fleet.hpp"
 
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
 namespace coca::dc {
+namespace {
 
-Fleet::Fleet(std::vector<ServerGroup> groups) : groups_(std::move(groups)) {
+FleetTables build_tables(const std::vector<ServerGroup>& groups) {
+  FleetTables t;
+  const std::size_t count = groups.size();
+  t.level_offset.assign(count + 1, 0);
+  for (std::size_t g = 0; g < count; ++g) {
+    t.level_offset[g + 1] = t.level_offset[g] + groups[g].spec().level_count();
+  }
+  t.static_kw.reserve(count);
+  for (const auto& group : groups) {
+    const auto& spec = group.spec();
+    for (std::size_t k = 0; k < spec.level_count(); ++k) {
+      t.rate.push_back(spec.level(k).service_rate);
+      t.dynamic_slope.push_back(spec.dynamic_slope(k));
+      t.dynamic_kw.push_back(spec.level(k).dynamic_power_kw);
+    }
+    t.static_kw.push_back(spec.static_power_kw());
+  }
+  // Server types: each group joins the first earlier type whose tables match
+  // it bit for bit, or opens a new one.  Distinct specs differ in their
+  // first rate almost always, so the scan is cheap even with no sharing.
+  const auto same_bits = [](const std::vector<double>& table, std::size_t a,
+                            std::size_t b, std::size_t n) {
+    return std::memcmp(table.data() + a, table.data() + b,
+                       n * sizeof(double)) == 0;
+  };
+  t.group_type.assign(count, 0);
+  for (std::size_t g = 0; g < count; ++g) {
+    const std::size_t levels = t.level_offset[g + 1] - t.level_offset[g];
+    std::size_t type = 0;
+    for (; type < t.type_group.size(); ++type) {
+      const std::size_t first = t.type_group[type];
+      const std::size_t a = t.level_offset[first];
+      const std::size_t b = t.level_offset[g];
+      if (t.level_offset[first + 1] - a == levels &&
+          same_bits(t.static_kw, first, g, 1) &&
+          same_bits(t.rate, a, b, levels) &&
+          same_bits(t.dynamic_slope, a, b, levels) &&
+          same_bits(t.dynamic_kw, a, b, levels)) {
+        break;
+      }
+    }
+    if (type == t.type_group.size()) t.type_group.push_back(g);
+    t.group_type[g] = type;
+  }
+  return t;
+}
+
+}  // namespace
+
+Fleet::Fleet(std::vector<ServerGroup> groups)
+    : Fleet(std::move(groups), nullptr) {}
+
+Fleet::Fleet(std::vector<ServerGroup> groups,
+             std::shared_ptr<const FleetTables> tables)
+    : groups_(std::move(groups)), tables_(std::move(tables)) {
   if (groups_.empty()) throw std::invalid_argument("Fleet: no groups");
+  if (tables_ == nullptr) {
+    tables_ = std::make_shared<const FleetTables>(build_tables(groups_));
+  }
+  server_counts_.reserve(groups_.size());
+  for (const auto& g : groups_) {
+    server_counts_.push_back(static_cast<double>(g.server_count()));
+  }
 }
 
 std::size_t Fleet::total_servers() const {
@@ -85,7 +148,7 @@ Fleet degraded_fleet(const Fleet& fleet,
     }
     groups.emplace_back(fleet.group(g).spec(), have - failed);
   }
-  return Fleet(std::move(groups));
+  return Fleet(std::move(groups), fleet.tables_);
 }
 
 }  // namespace coca::dc

@@ -39,23 +39,6 @@ class CarbonBudget {
   // Typed layer (util/units.hpp): every allowance term of Eq. 10 / Eq. 17 is
   // energy, and these views keep it that way at the call sites.
   units::KiloWattHours recs() const { return units::KiloWattHours{recs_kwh_}; }
-  units::KiloWattHours allowance_total() const {
-    return units::KiloWattHours{total_allowance()};
-  }
-  /// Typed view of the unscaled per-slot REC share z = Z / J.
-  units::KiloWattHours rec_allowance_per_slot() const {
-    return units::KiloWattHours{rec_per_slot()};
-  }
-  units::KiloWattHours allowance_at(std::size_t t) const {
-    return units::KiloWattHours{slot_allowance(t)};
-  }
-
-  /// Carbon mass hook: the paper budgets in kWh-equivalents; multiplying a
-  /// brown-energy total by a grid intensity yields actual emissions.
-  static units::KgCo2 emissions(units::KiloWattHours brown,
-                                units::KgCo2PerKwh intensity) {
-    return brown * intensity;
-  }
 
   /// Carbon deficit series for a brown-energy usage series y(t):
   /// deficit[t] = y[t] - slot_allowance(t).  Sizes must match.

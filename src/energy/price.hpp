@@ -34,10 +34,4 @@ struct PriceConfig {
 /// Generate the price trace ($/kWh per hourly slot).
 coca::workload::Trace make_price_trace(const PriceConfig& config = {});
 
-/// Typed read of one slot of a price trace.
-inline units::UsdPerKwh price_at(const coca::workload::Trace& trace,
-                                 std::size_t t) {
-  return units::UsdPerKwh{trace[t]};
-}
-
 }  // namespace coca::energy

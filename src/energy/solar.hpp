@@ -10,7 +10,6 @@
 
 #include <cstdint>
 
-#include "util/units.hpp"
 #include "workload/trace.hpp"
 
 namespace coca::energy {
@@ -23,11 +22,6 @@ struct SolarConfig {
   double cloud_persistence = 0.85;  ///< AR(1) coefficient of the daily cloud state
   double cloud_sigma = 0.35;        ///< innovation scale of the cloud state
   std::uint64_t seed = 101;
-
-  /// Plant size through the typed layer (util/units.hpp).
-  units::KiloWatts nameplate() const {
-    return units::KiloWatts{nameplate_kw};
-  }
 };
 
 /// Generate the solar trace (kW per hourly slot).

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 
-#include "util/units.hpp"
 #include "workload/trace.hpp"
 
 namespace coca::energy {
@@ -24,11 +23,6 @@ struct WindConfig {
   double cut_out_ms = 25.0;
   double diurnal_amplitude = 0.10;  ///< mild afternoon breeze effect
   std::uint64_t seed = 202;
-
-  /// Plant size through the typed layer (util/units.hpp).
-  units::KiloWatts nameplate() const {
-    return units::KiloWatts{nameplate_kw};
-  }
 };
 
 /// Generate the wind trace (kW per hourly slot).

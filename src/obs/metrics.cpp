@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/json.hpp"
-
 namespace coca::obs {
 
 void Histogram::record(double v) {
@@ -87,55 +85,6 @@ std::map<std::string, HistogramSnapshot> Registry::histogram_values() const {
   for (const auto& [name, histogram] : histograms_) {
     out[name] = histogram->snapshot();
   }
-  return out;
-}
-
-std::string Registry::to_json() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  // Plain appends (no `char + std::string` temporaries) — avoids GCC 12's
-  // -Wrestrict false positive (PR105329) under the tree's -Werror CI builds.
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += json_escape(name);
-    out += "\":";
-    out += json_number(counter->value());
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += json_escape(name);
-    out += "\":{\"value\":";
-    out += json_number(gauge->value());
-    out += ",\"max\":";
-    out += json_number(gauge->max());
-    out += '}';
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, histogram] : histograms_) {
-    if (!first) out += ',';
-    first = false;
-    const HistogramSnapshot snap = histogram->snapshot();
-    out += '"';
-    out += json_escape(name);
-    out += "\":{\"count\":";
-    out += json_number(snap.count);
-    out += ",\"sum\":";
-    out += json_number(snap.sum);
-    out += ",\"min\":";
-    out += json_number(snap.min);
-    out += ",\"max\":";
-    out += json_number(snap.max);
-    out += '}';
-  }
-  out += "}}";
   return out;
 }
 

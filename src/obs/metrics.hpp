@@ -3,11 +3,9 @@
 // timers for the hot paths (solvers, thread pool, simulator).
 //
 // Design rules, in order:
-//   1. Off by default, zero-cost when off.  The process-global sink starts
+//   1. Off by default, near-free when off.  The process-global sink starts
 //      null; every free helper below (obs::count, obs::observe, ...) is a
-//      single relaxed pointer load + branch when no registry is installed,
-//      and compiles to *nothing* when the tree is built with
-//      -DCOCA_OBS_DISABLED (the CMake option COCA_OBS=OFF).
+//      single relaxed pointer load + branch when no registry is installed.
 //   2. Lock-cheap when on.  Counters and gauges are single atomics;
 //      histograms take one short mutex.  Hot loops cache the Counter*
 //      returned by the registry instead of re-resolving names.
@@ -101,10 +99,6 @@ class Registry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  /// Deterministic name-sorted JSON rendering of everything recorded:
-  /// {"counters":{...},"gauges":{...},"histograms":{...}}.
-  std::string to_json() const;
-
   /// Convenience for tests: current value of a counter (0 if absent).
   std::int64_t counter_value(std::string_view name) const;
   /// Convenience for benches: a gauge's running maximum (0 if absent).
@@ -146,21 +140,6 @@ class GlobalRegistryScope {
   Registry* previous_;
 };
 
-#if defined(COCA_OBS_DISABLED)
-
-inline void count(const char*, std::int64_t = 1) {}
-inline void gauge_set(const char*, double) {}
-// OBS-EXEMPT(no-op stub when observability is compiled out)
-inline void observe(const char*, double) {}
-
-/// Null sink: all members fold to nothing at -O1.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const char*, Registry* = nullptr) {}
-};
-
-#else
-
 /// Bump `name` in the global registry (no-op when none installed).
 inline void count(const char* name, std::int64_t n = 1) {
   if (Registry* r = global()) r->counter(name).add(n);
@@ -198,7 +177,5 @@ class ScopedTimer {
   Registry* registry_;
   std::int64_t start_ns_;
 };
-
-#endif  // COCA_OBS_DISABLED
 
 }  // namespace coca::obs

@@ -66,8 +66,6 @@ void set_span_profiler(SpanProfiler* profiler) {
   g_span_profiler.store(profiler, std::memory_order_release);
 }
 
-#if !defined(COCA_OBS_DISABLED)
-
 namespace {
 
 /// One open span on this thread.  `child_ns` accumulates the wall time of
@@ -124,7 +122,5 @@ ScopedSpan::~ScopedSpan() {
   if (!stack.empty()) stack.back().child_ns += elapsed_ns;
   profiler_->add(frame.path, elapsed_ns, elapsed_ns - frame.child_ns);
 }
-
-#endif  // COCA_OBS_DISABLED
 
 }  // namespace coca::obs

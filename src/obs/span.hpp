@@ -20,8 +20,7 @@
 // self time then includes the wait, which the mask hides anyway).
 //
 // Like the metrics registry, the global profiler is null by default (every
-// hook is one relaxed pointer load) and the hooks compile to nothing under
-// COCA_OBS=OFF.
+// hook is one relaxed pointer load).
 
 #include <cstdint>
 #include <map>
@@ -85,19 +84,6 @@ class SpanProfilerScope {
   SpanProfiler* previous_;
 };
 
-#if defined(COCA_OBS_DISABLED)
-
-/// Null span: folds to nothing at -O1 (COCA_OBS=OFF).
-class ScopedSpan {
- public:
-  explicit ScopedSpan(std::string_view) {}
-  ScopedSpan(std::string_view, const std::string&) {}
-};
-
-inline std::string current_span_path() { return {}; }
-
-#else
-
 /// The calling thread's open-span path ("" outside any span).  Capture this
 /// before dispatching work to a pool so the worker's spans keep their place
 /// in the hierarchy (ScopedSpan's parent_path overload).
@@ -123,7 +109,5 @@ class ScopedSpan {
   SpanProfiler* profiler_ = nullptr;  ///< null = inactive span
   std::int64_t start_ns_ = 0;
 };
-
-#endif  // COCA_OBS_DISABLED
 
 }  // namespace coca::obs

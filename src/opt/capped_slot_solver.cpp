@@ -15,13 +15,10 @@ CappedSlotResult CappedSlotSolver::solve(const dc::Fleet& fleet,
   CappedSlotResult result;
   SlotWeights w = weights;
   w.q = 0.0;
-  // One load-LP context carries the fleet tables and SoA scratch across
-  // every multiplier probe of the bisection below.
-  LoadLpContext lp(fleet);
 
   // Unconstrained cost minimizer: if it already meets the cap, the
   // multiplier is zero (complementary slackness).
-  result.solution = solver_.solve(fleet, input, w, &lp);
+  result.solution = solver_.solve(fleet, input, w);
   if (!result.solution.feasible) return result;
   if (result.solution.outcome.brown_kwh <= cap_kwh * (1.0 + 1e-9)) {
     result.cap_met = true;
@@ -34,7 +31,7 @@ CappedSlotResult CappedSlotSolver::solve(const dc::Fleet& fleet,
       std::max(1.0, weights.V * input.price) * 1e7;
   SlotWeights frugal = w;
   frugal.q = mu_probe;
-  const SlotSolution min_energy = solver_.solve(fleet, input, frugal, &lp);
+  const SlotSolution min_energy = solver_.solve(fleet, input, frugal);
   if (min_energy.outcome.brown_kwh > cap_kwh * (1.0 + 1e-9)) {
     // The cap cannot be met at all: drop it (PerfectHP's fallback).
     result.cap_dropped = true;
@@ -45,7 +42,7 @@ CappedSlotResult CappedSlotSolver::solve(const dc::Fleet& fleet,
   auto excess = [&](double mu) {
     SlotWeights probe = w;
     probe.q = mu;
-    return solver_.solve(fleet, input, probe, &lp).outcome.brown_kwh - cap_kwh;
+    return solver_.solve(fleet, input, probe).outcome.brown_kwh - cap_kwh;
   };
   util::BisectionOptions options;
   options.x_tol = mu_probe * 1e-9;
@@ -58,11 +55,11 @@ CappedSlotResult CappedSlotSolver::solve(const dc::Fleet& fleet,
   double mu_star = root.x;
   SlotWeights final_weights = w;
   final_weights.q = mu_star;
-  SlotSolution solution = solver_.solve(fleet, input, final_weights, &lp);
+  SlotSolution solution = solver_.solve(fleet, input, final_weights);
   if (solution.outcome.brown_kwh > cap_kwh * (1.0 + 1e-9)) {
     mu_star = std::min(mu_probe, mu_star * (1.0 + 1e-6) + 1e-12);
     final_weights.q = mu_star;
-    solution = solver_.solve(fleet, input, final_weights, &lp);
+    solution = solver_.solve(fleet, input, final_weights);
     if (solution.outcome.brown_kwh > cap_kwh * (1.0 + 1e-6)) {
       // Numerical edge: fall back to the provably capped probe solution.
       solution = min_energy;
@@ -85,10 +82,9 @@ PowerCapResult solve_power_capped(const dc::Fleet& fleet,
   const LadderSolver solver;
   SlotWeights base = weights;
   base.power_price = 0.0;
-  LoadLpContext lp(fleet);
 
   // Unconstrained optimum: if it fits under the cap, the multiplier is 0.
-  result.solution = solver.solve(fleet, input, base, &lp);
+  result.solution = solver.solve(fleet, input, base);
   if (!result.solution.feasible) return result;
   if (result.solution.outcome.facility_power_kw <=
       max_facility_kw * (1.0 + 1e-9)) {
@@ -100,7 +96,7 @@ PowerCapResult solve_power_capped(const dc::Fleet& fleet,
   const double xi_probe = std::max(1.0, weights.V * input.price) * 1e7;
   SlotWeights frugal = base;
   frugal.power_price = xi_probe;
-  const SlotSolution min_power = solver.solve(fleet, input, frugal, &lp);
+  const SlotSolution min_power = solver.solve(fleet, input, frugal);
   if (min_power.outcome.facility_power_kw > max_facility_kw * (1.0 + 1e-9)) {
     // Serving lambda requires more power than the cap allows.
     result.cap_dropped = true;
@@ -116,7 +112,7 @@ PowerCapResult solve_power_capped(const dc::Fleet& fleet,
     const double mid = 0.5 * (lo + hi);
     SlotWeights probe = base;
     probe.power_price = mid;
-    const SlotSolution at_mid = solver.solve(fleet, input, probe, &lp);
+    const SlotSolution at_mid = solver.solve(fleet, input, probe);
     if (at_mid.outcome.facility_power_kw <= max_facility_kw * (1.0 + 1e-9)) {
       best = at_mid;
       best_xi = mid;

@@ -7,6 +7,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "opt/load_lp.hpp"
 #include "util/thread_pool.hpp"
 
 namespace coca::opt {
@@ -107,12 +108,9 @@ GsdResult GsdSolver::solve(const dc::Fleet& fleet, const SlotInput& input,
   GsdResult merged = per_chain[winner];
   merged.evaluations = 0;
   merged.accepted = 0;
-  merged.lp_stats = LoadLpStats{};
   for (const auto& chain : per_chain) {
     merged.evaluations += chain.evaluations;
     merged.accepted += chain.accepted;
-    merged.lp_stats.solves += chain.lp_stats.solves;
-    merged.lp_stats.nu_iterations += chain.lp_stats.nu_iterations;
   }
   merged.chains_run = chains;
   merged.winning_chain = static_cast<int>(winner);
@@ -129,16 +127,11 @@ GsdResult GsdSolver::solve_chain(const dc::Fleet& fleet, const SlotInput& input,
   GsdResult result;
   util::Rng rng(seed);
 
-  // The chain's load-LP engine: the fleet tables and SoA scratch serve
-  // every candidate solve.  One context per chain keeps its `load_lp` span
-  // counts deterministic at any thread count.
-  LoadLpContext lp(fleet);
-
   // Initialization (line 1): a feasible starting configuration.  `kept`
   // always holds its solved loads, and `kept_balance` its solve.
   dc::Allocation kept =
       initial.value_or(all_on_max(fleet, input.lambda, weights.gamma));
-  LoadBalanceResult kept_balance = lp.solve(kept, input, weights);
+  LoadBalanceResult kept_balance = solve_load_lp(fleet, kept, input, weights);
   ++result.evaluations;
 
   dc::Allocation explored = kept;  // the exploration state x^e
@@ -165,7 +158,8 @@ GsdResult GsdSolver::solve_chain(const dc::Fleet& fleet, const SlotInput& input,
       const bool at_kept = same_configuration(explored, kept);
       dc::Allocation candidate = at_kept ? kept : explored;
       const LoadBalanceResult balanced =
-          at_kept ? kept_balance : lp.solve(candidate, input, weights);
+          at_kept ? kept_balance
+                  : solve_load_lp(fleet, candidate, input, weights);
       ++result.evaluations;
       const double explored_objective = balanced.outcome.objective;
 
@@ -227,7 +221,6 @@ GsdResult GsdSolver::solve_chain(const dc::Fleet& fleet, const SlotInput& input,
   result.solution.effective_price = kept_balance.effective_price;
   result.solution.feasible = kept_balance.feasible;
   result.best = best;
-  result.lp_stats = lp.stats();
   return result;
 }
 

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "opt/ladder_solver.hpp"
-#include "opt/load_lp.hpp"
 #include "util/rng.hpp"
 
 namespace coca::opt {
@@ -54,11 +53,10 @@ struct GsdResult {
   SlotSolution solution;             ///< kept configuration at termination
   SlotSolution best;                 ///< best configuration ever visited
   std::vector<double> trajectory;    ///< kept objective per iteration
-  int evaluations = 0;               ///< load-balance solves performed
+  int evaluations = 0;               ///< explorations evaluated (line 3)
   int accepted = 0;                  ///< exploration acceptances
   int chains_run = 1;                ///< chains merged into this result
   int winning_chain = 0;             ///< chain that supplied solution/best
-  LoadLpStats lp_stats;              ///< load-LP engine counters (all chains)
 };
 
 class GsdSolver {

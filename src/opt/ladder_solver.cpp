@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "opt/load_lp.hpp"
 #include "util/solvers.hpp"
 
 namespace coca::opt {
@@ -40,19 +41,20 @@ struct Response {
 
 /// Best response of the server type whose tables are group `first`'s: a pure
 /// function of those tables and the prices, so every group of the type
-/// shares it bit for bit.
-Response best_response(const LoadLpContext::FleetTables& tables,
-                       std::size_t first, double nu, double mu, double v_beta,
-                       double gamma) {
+/// shares it bit for bit.  Static power and slopes are facility-referenced
+/// (scaled by pue).
+Response best_response(const dc::FleetTables& tables, std::size_t first,
+                       double nu, double mu, double v_beta,
+                       const SlotWeights& weights) {
   const std::size_t begin = tables.level_offset[first];
   const std::size_t end = tables.level_offset[first + 1];
-  const double static_kw = tables.facility_static[first];
+  const double static_kw = weights.pue * tables.static_kw[first];
   Response best;
   bool found = false;
   for (std::size_t i = begin; i < end; ++i) {
     const double rate = tables.rate[i];
-    const double slope = tables.facility_slope[i];
-    const double a = response(nu, mu, v_beta, slope, rate, gamma);
+    const double slope = weights.pue * tables.dynamic_slope[i];
+    const double a = response(nu, mu, v_beta, slope, rate, weights.gamma);
     if (a <= kTiny) continue;
     const double profit =
         nu * a - server_cost(mu, v_beta, static_kw, slope, rate, a);
@@ -67,18 +69,19 @@ Response best_response(const LoadLpContext::FleetTables& tables,
 
 /// Price at which the type first becomes profitable to activate: min over
 /// levels of the average cost at the jointly optimal load a*.
-double break_even(const LoadLpContext::FleetTables& tables, std::size_t first,
-                  double mu, double v_beta, double gamma) {
-  const double static_kw = tables.facility_static[first];
+double break_even(const dc::FleetTables& tables, std::size_t first,
+                  double mu, double v_beta, const SlotWeights& weights) {
+  const double static_kw = weights.pue * tables.static_kw[first];
   double best = std::numeric_limits<double>::infinity();
   for (std::size_t i = tables.level_offset[first];
        i < tables.level_offset[first + 1]; ++i) {
     const double rate = tables.rate[i];
     const double theta = std::sqrt(mu * static_kw / v_beta);
     double a = rate * theta / (1.0 + theta);
-    a = std::clamp(a, 1e-9 * rate, gamma * rate);
+    a = std::clamp(a, 1e-9 * rate, weights.gamma * rate);
     best = std::min(best, server_cost(mu, v_beta, static_kw,
-                                      tables.facility_slope[i], rate, a) /
+                                      weights.pue * tables.dynamic_slope[i],
+                                      rate, a) /
                               a);
   }
   return best;
@@ -133,8 +136,8 @@ dc::Allocation energy_greedy(const dc::Fleet& fleet, double lambda, double mu,
 
 SlotSolution LadderSolver::solve_linear(const dc::Fleet& fleet,
                                         const SlotInput& input,
-                                        const SlotWeights& weights, double mu,
-                                        LoadLpContext& lp) const {
+                                        const SlotWeights& weights,
+                                        double mu) const {
   SlotSolution solution;
   const double lambda = input.lambda;
   const double v_beta = weights.V * weights.beta;
@@ -142,28 +145,29 @@ SlotSolution LadderSolver::solve_linear(const dc::Fleet& fleet,
   if (mu <= kTiny) {
     // Free energy: delay-only objective; all servers on at top speed.
     solution.alloc = all_on_max(fleet, lambda, weights.gamma);
-    lp.solve_linear(solution.alloc, lambda, 0.0, weights);
+    solve_load_lp_linear(fleet, solution.alloc, lambda, 0.0, weights);
   } else if (v_beta <= kTiny) {
     solution.alloc = energy_greedy(fleet, lambda, mu, weights);
-    lp.solve_linear(solution.alloc, lambda, mu, weights);
+    solve_load_lp_linear(fleet, solution.alloc, lambda, mu, weights);
   } else {
     // Market clearing: find the workload price at which the fleet's supply
     // meets lambda.  Each price evaluates one best response per server type
     // (DESIGN.md §4.2); the supply sums servers * load in group order.
-    const auto tables = lp.tables(weights);
+    const dc::FleetTables& tables = fleet.tables();
+    const std::vector<double>& servers = fleet.server_counts();
     const std::size_t groups = tables.group_type.size();
     std::vector<Response> by_type(tables.type_group.size());
     auto respond = [&](double nu) {
       for (std::size_t t = 0; t < by_type.size(); ++t) {
         by_type[t] = best_response(tables, tables.type_group[t], nu, mu,
-                                   v_beta, weights.gamma);
+                                   v_beta, weights);
       }
     };
     auto supply = [&](double nu) {
       respond(nu);
       double total = 0.0;
       for (std::size_t g = 0; g < groups; ++g) {
-        total += tables.servers[g] * by_type[tables.group_type[g]].load;
+        total += servers[g] * by_type[tables.group_type[g]].load;
       }
       return total;
     };
@@ -174,11 +178,11 @@ SlotSolution LadderSolver::solve_linear(const dc::Fleet& fleet,
     // A max is exact and order-free, so one pass per type suffices.
     double hi = 0.0;
     for (const std::size_t first : tables.type_group) {
-      const double static_kw = tables.facility_static[first];
+      const double static_kw = weights.pue * tables.static_kw[first];
       for (std::size_t i = tables.level_offset[first];
            i < tables.level_offset[first + 1]; ++i) {
         const double rate = tables.rate[i];
-        const double slope = tables.facility_slope[i];
+        const double slope = weights.pue * tables.dynamic_slope[i];
         const double a_cap = weights.gamma * rate;
         const double marginal =
             mu * slope + v_beta * rate / ((rate - a_cap) * (rate - a_cap));
@@ -221,16 +225,16 @@ SlotSolution LadderSolver::solve_linear(const dc::Fleet& fleet,
     std::vector<double> type_break_even(by_type.size());
     for (std::size_t t = 0; t < by_type.size(); ++t) {
       if (by_type[t].load <= kTiny) continue;
-      type_break_even[t] = break_even(tables, tables.type_group[t], mu, v_beta,
-                                      weights.gamma);
+      type_break_even[t] =
+          break_even(tables, tables.type_group[t], mu, v_beta, weights);
     }
     std::vector<Active> actives;
     for (std::size_t g = 0; g < groups; ++g) {
       const std::size_t t = tables.group_type[g];
       const Response& r = by_type[t];
       if (r.load <= kTiny) continue;
-      actives.push_back({g, r.level, r.load, tables.servers[g] * r.load,
-                         type_break_even[t]});
+      actives.push_back(
+          {g, r.level, r.load, servers[g] * r.load, type_break_even[t]});
     }
     double total = 0.0;
     for (const auto& a : actives) total += a.supply;
@@ -239,7 +243,7 @@ SlotSolution LadderSolver::solve_linear(const dc::Fleet& fleet,
     });
     solution.alloc = dc::Allocation(fleet.group_count());
     for (auto& a : actives) {
-      double servers = tables.servers[a.group];
+      double count = servers[a.group];
       if (total - a.supply >= lambda) {
         total -= a.supply;  // drop entirely
         continue;
@@ -247,19 +251,20 @@ SlotSolution LadderSolver::solve_linear(const dc::Fleet& fleet,
       if (total > lambda) {
         // Marginal group: size it to close the gap.
         const double needed = a.supply - (total - lambda);
-        servers = std::clamp(needed / a.per_load, 0.0, servers);
+        count = std::clamp(needed / a.per_load, 0.0, count);
         total = lambda;
       }
-      servers = std::ceil(servers - 1e-9);
+      count = std::ceil(count - 1e-9);
       solution.alloc[a.group].level = a.level;
-      solution.alloc[a.group].active = servers;
+      solution.alloc[a.group].active = count;
     }
-    const double nu = lp.solve_linear(solution.alloc, lambda, mu, weights);
+    const double nu =
+        solve_load_lp_linear(fleet, solution.alloc, lambda, mu, weights);
     if (nu < 0.0) {
       // Rounding starved capacity (can only happen in tiny fleets): fall
       // back to the always-feasible configuration.
       solution.alloc = all_on_max(fleet, lambda, weights.gamma);
-      lp.solve_linear(solution.alloc, lambda, mu, weights);
+      solve_load_lp_linear(fleet, solution.alloc, lambda, mu, weights);
     }
   }
 
@@ -272,11 +277,8 @@ SlotSolution LadderSolver::solve_linear(const dc::Fleet& fleet,
 // OBS-EXEMPT(callers open the "ladder_solve" span for this stage)
 // Opening one here too would change the pinned span goldens.
 SlotSolution LadderSolver::solve(const dc::Fleet& fleet, const SlotInput& input,
-                                 const SlotWeights& weights,
-                                 LoadLpContext* lp) const {
+                                 const SlotWeights& weights) const {
   obs::count("ladder.solves");
-  std::optional<LoadLpContext> local;
-  if (lp == nullptr) lp = &local.emplace(fleet);
   SlotSolution solution;
   if (input.lambda <= kTiny) {
     solution.alloc = all_off(fleet);
@@ -295,13 +297,13 @@ SlotSolution LadderSolver::solve(const dc::Fleet& fleet, const SlotInput& input,
   const double mu_full = weights.brown_price(input.price);
 
   // Regime A: optimum draws grid power.
-  solution = solve_linear(fleet, input, weights, mu_full, *lp);
+  solution = solve_linear(fleet, input, weights, mu_full);
   solution.regime = PowerRegime::kGridDraw;
   if (solution.outcome.facility_power_kw < input.onsite_kw * (1.0 - 1e-9)) {
     // Regime B: free energy below the on-site supply (only the facility-
     // power price — the peak-power extension's multiplier — remains).
     const double mu_floor = weights.power_price;
-    SlotSolution delay_min = solve_linear(fleet, input, weights, mu_floor, *lp);
+    SlotSolution delay_min = solve_linear(fleet, input, weights, mu_floor);
     if (delay_min.outcome.facility_power_kw <=
         input.onsite_kw * (1.0 + 1e-9)) {
       delay_min.regime = PowerRegime::kRenewable;
@@ -309,7 +311,7 @@ SlotSolution LadderSolver::solve(const dc::Fleet& fleet, const SlotInput& input,
     } else {
       // Boundary: pin facility power to the on-site supply.
       auto power_gap = [&](double mu) {
-        return solve_linear(fleet, input, weights, mu, *lp)
+        return solve_linear(fleet, input, weights, mu)
                    .outcome.facility_power_kw -
                input.onsite_kw;
       };
@@ -318,7 +320,7 @@ SlotSolution LadderSolver::solve(const dc::Fleet& fleet, const SlotInput& input,
       options.f_tol = 1e-4 * std::max(1.0, input.onsite_kw);
       options.max_iterations = 60;
       const auto boundary = util::bisect(power_gap, mu_floor, mu_full, options);
-      SlotSolution pinned = solve_linear(fleet, input, weights, boundary.x, *lp);
+      SlotSolution pinned = solve_linear(fleet, input, weights, boundary.x);
       pinned.regime = PowerRegime::kBoundary;
       // Keep whichever of the three candidates scores best on the true
       // objective (the kinked objective is what evaluate() reports).
@@ -331,14 +333,14 @@ SlotSolution LadderSolver::solve(const dc::Fleet& fleet, const SlotInput& input,
   }
 
   for (int pass = 0; pass < config_.polish_passes; ++pass) {
-    if (!polish(fleet, input, weights, solution, *lp)) break;
+    if (!polish(fleet, input, weights, solution)) break;
   }
   return solution;
 }
 
 bool LadderSolver::polish(const dc::Fleet& fleet, const SlotInput& input,
-                          const SlotWeights& weights, SlotSolution& solution,
-                          LoadLpContext& lp) const {
+                          const SlotWeights& weights,
+                          SlotSolution& solution) const {
   bool improved = false;
   for (std::size_t g = 0; g < fleet.group_count(); ++g) {
     const auto& group = fleet.group(g);
@@ -358,7 +360,8 @@ bool LadderSolver::polish(const dc::Fleet& fleet, const SlotInput& input,
         dc::Allocation candidate = solution.alloc;
         candidate[g].level = k;
         candidate[g].active = count;
-        const LoadBalanceResult balanced = lp.solve(candidate, input, weights);
+        const LoadBalanceResult balanced =
+            solve_load_lp(fleet, candidate, input, weights);
         if (balanced.feasible &&
             balanced.outcome.objective <
                 solution.outcome.objective * (1.0 - 1e-10)) {

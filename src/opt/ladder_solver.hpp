@@ -21,10 +21,7 @@
 // The ladder solver is the default per-slot engine for year-long simulations;
 // GSD (the paper's distributed sampler) and the exhaustive solver validate it.
 
-#include <optional>
-
 #include "opt/load_balancer.hpp"
-#include "opt/load_lp.hpp"
 #include "opt/slot_problem.hpp"
 
 namespace coca::opt {
@@ -50,32 +47,23 @@ class LadderSolver {
 
   /// Solve P3 for one slot.  Returns an infeasible solution (objective +inf)
   /// if even the full fleet at top speed cannot serve lambda under gamma.
-  /// An optional LoadLpContext (built for the *same* fleet) carries the
-  /// fleet tables, the server-type index and the load-LP scratch across
-  /// solves.  CocaController, DynamicRecCocaController and
-  /// CarbonUnawareController each pass the context bound to their current
-  /// fleet (rebuilt in set_fleet); the capped solvers reuse one across their
-  /// multiplier bisections.  When omitted the solve builds its own.  Results
-  /// are bit-identical either way (the context reproduces balance_loads).
+  /// The market clearing reads the fleet's tables and server types
+  /// (dc::Fleet::tables()); loads are balanced by opt/load_lp.hpp.
   SlotSolution solve(const dc::Fleet& fleet, const SlotInput& input,
-                     const SlotWeights& weights,
-                     LoadLpContext* lp = nullptr) const;
+                     const SlotWeights& weights) const;
 
   const LadderConfig& config() const { return config_; }
 
  private:
   /// Provision + balance with a fixed linear energy price mu (no kink).
   SlotSolution solve_linear(const dc::Fleet& fleet, const SlotInput& input,
-                            const SlotWeights& weights, double mu,
-                            LoadLpContext& lp) const;
+                            const SlotWeights& weights, double mu) const;
 
   /// One local-search polish pass; returns true if it improved the solution.
   /// Each (group, level, count-step) candidate other than the current point
-  /// is solved through the context and adopted at once when it lowers the
-  /// objective.
+  /// is load-balanced and adopted at once when it lowers the objective.
   bool polish(const dc::Fleet& fleet, const SlotInput& input,
-              const SlotWeights& weights, SlotSolution& solution,
-              LoadLpContext& lp) const;
+              const SlotWeights& weights, SlotSolution& solution) const;
 
   LadderConfig config_;
 };

@@ -35,7 +35,6 @@ struct ScenarioConfig {
       .generations = 4,
       .speed_spread = 0.18,
       .power_spread = 0.12,
-      .seed = 42,
   };
   WorkloadKind workload = WorkloadKind::kFiuLike;
   double peak_rate = 1.1e6;      ///< req/s (~50% of fleet capacity)

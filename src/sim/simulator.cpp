@@ -37,7 +37,6 @@ struct Run {
         options(sim_options),
         billing(weights),
         slot_fleet(&caller_fleet),
-        lp(caller_fleet),
         previous(caller_fleet.group_count()) {
     billing.V = 1.0;
     billing.q = 0.0;
@@ -75,9 +74,6 @@ struct Run {
   std::unique_ptr<fault::Injector> injector;
   const dc::Fleet* slot_fleet;   ///< the fleet the current slot runs on
   std::size_t fleet_index = 0;   ///< injector index of *slot_fleet
-  /// Balances the actual workload; bound to *slot_fleet and rebuilt exactly
-  /// where the controller is re-seated.
-  opt::LoadLpContext lp;
   std::size_t checkpoint_every = 0;  ///< 0 = not checkpointing
   std::string last_checkpoint;
   std::int64_t last_checkpoint_slot = 0;
@@ -142,7 +138,6 @@ Slot resolve(Run& run, std::size_t t) {
   run.slot_fleet = &faults.fleet_at(t);
   if (fleet_index != run.fleet_index) {
     run.controller.set_fleet(*run.slot_fleet);
-    run.lp = opt::LoadLpContext(*run.slot_fleet);
     run.fleet_index = fleet_index;
   }
   slot.degraded = faults.degraded_at(t);
@@ -204,7 +199,7 @@ void actuate(Run& run, Slot& slot) {
   const double lambda = slot.actual.lambda;
   slot.executed = slot.plan;
   opt::LoadBalanceResult balanced =
-      run.lp.solve(slot.executed, slot.actual, billing);
+      opt::solve_load_lp(fleet, slot.executed, slot.actual, billing);
   if (balanced.feasible) {
     slot.billed = std::move(balanced.outcome);
     return;
@@ -214,10 +209,10 @@ void actuate(Run& run, Slot& slot) {
       opt::slot_feasible(fleet, lambda, billing.gamma)) {
     slot.executed =
         opt::expanded_to_capacity(fleet, slot.plan, lambda, billing.gamma);
-    balanced = run.lp.solve(slot.executed, slot.actual, billing);
+    balanced = opt::solve_load_lp(fleet, slot.executed, slot.actual, billing);
     if (!balanced.feasible) {
       slot.executed = opt::all_on_max(fleet, lambda, billing.gamma);
-      balanced = run.lp.solve(slot.executed, slot.actual, billing);
+      balanced = opt::solve_load_lp(fleet, slot.executed, slot.actual, billing);
     }
     slot.billed = std::move(balanced.outcome);
     return;

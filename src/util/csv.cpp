@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -119,14 +118,6 @@ CsvTable parse_csv(std::string_view text) {
     if (pos > text.size()) break;
   }
   return table;
-}
-
-CsvTable read_csv_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("read_csv_file: cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_csv(buffer.str());
 }
 
 }  // namespace coca::util

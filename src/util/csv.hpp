@@ -40,7 +40,4 @@ struct CsvTable {
 /// double become NaN.  Throws std::invalid_argument on ragged rows.
 CsvTable parse_csv(std::string_view text);
 
-/// Read and parse a CSV file; throws std::runtime_error if unreadable.
-CsvTable read_csv_file(const std::string& path);
-
 }  // namespace coca::util

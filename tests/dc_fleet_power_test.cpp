@@ -1,9 +1,12 @@
-// Tests for fleet assembly and the fleet-level power/electricity model
-// (Eqs. 2-3).
+// Tests for fleet assembly, the fleet's level tables and server types, and
+// the fleet-level power/electricity model (Eqs. 2-3).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "dc/power_model.hpp"
 
@@ -123,6 +126,114 @@ TEST_F(PowerModelTest, FeasibilityCatchesBadShapes) {
 TEST_F(PowerModelTest, CappedCapacity) {
   const auto a = alloc(2.0, 0.0, 1.0, 0.0);
   EXPECT_NEAR(capped_capacity(fleet_, a, 0.9), 0.9 * 10.0 * 3.0, 1e-12);
+}
+
+// --- server types: the ladder's per-type market clearing ------------------
+
+std::vector<std::size_t> types_of(const Fleet& fleet) {
+  return fleet.tables().group_type;
+}
+
+TEST(ServerTypes, EqualSpecsShareATypeWhateverTheServerCount) {
+  const auto fleet = make_default_fleet(
+      {.total_servers = 8'000, .group_count = 8, .generations = 4});
+  // Group 2 loses every server, groups 1 and 6 some of theirs.
+  const auto degraded =
+      degraded_fleet(fleet, {0, 500, 1'000, 0, 0, 0, 999, 0});
+  ASSERT_EQ(degraded.group(2).server_count(), 0u);
+  const FleetTables& tables = degraded.tables();
+  ASSERT_EQ(tables.type_group.size(), 4u);
+  for (std::size_t t = 0; t < 4; ++t) EXPECT_EQ(tables.type_group[t], t);
+  for (std::size_t g = 0; g < 8; ++g) {
+    EXPECT_EQ(tables.group_type[g], g % 4) << "group " << g;
+    EXPECT_EQ(degraded.server_counts()[g],
+              static_cast<double>(degraded.group(g).server_count()));
+  }
+}
+
+TEST(ServerTypes, DegradedCopySharesItsBaselinesTables) {
+  const auto fleet = make_default_fleet(
+      {.total_servers = 8'000, .group_count = 8, .generations = 4});
+  const auto degraded =
+      degraded_fleet(fleet, {0, 500, 1'000, 0, 0, 0, 999, 0});
+  // One tables object, not an equal copy; only the counts are the copy's.
+  EXPECT_EQ(&degraded.tables(), &fleet.tables());
+  EXPECT_EQ(&degraded_fleet(degraded, {1, 1, 0, 1, 1, 1, 1, 1}).tables(),
+            &fleet.tables());
+  EXPECT_EQ(degraded.server_counts()[1], 500.0);
+  EXPECT_EQ(fleet.server_counts()[1], 1'000.0);
+  // A fleet built from the same groups builds its own.
+  EXPECT_NE(&Fleet(fleet.groups()).tables(), &fleet.tables());
+
+  // The tables are the specs' values, bit for bit.
+  const FleetTables& tables = fleet.tables();
+  ASSERT_EQ(tables.level_offset.size(), fleet.group_count() + 1);
+  for (std::size_t g = 0; g < fleet.group_count(); ++g) {
+    const auto& spec = fleet.group(g).spec();
+    ASSERT_EQ(tables.level_offset[g + 1] - tables.level_offset[g],
+              spec.level_count());
+    EXPECT_EQ(tables.static_kw[g], spec.static_power_kw());
+    for (std::size_t k = 0; k < spec.level_count(); ++k) {
+      const std::size_t i = tables.level_offset[g] + k;
+      EXPECT_EQ(tables.rate[i], spec.level(k).service_rate);
+      EXPECT_EQ(tables.dynamic_slope[i], spec.dynamic_slope(k));
+      EXPECT_EQ(tables.dynamic_kw[i], spec.level(k).dynamic_power_kw);
+    }
+  }
+}
+
+TEST(ServerTypes, AnyValueTheClearingReadsSplitsAType) {
+  const auto reference = ServerSpec::opteron2380();
+  const auto fleet_with = [&](const ServerSpec& odd) {
+    std::vector<ServerGroup> groups;
+    for (std::size_t g = 0; g < 4; ++g) {
+      groups.emplace_back(g == 2 ? odd : reference, 10);
+    }
+    return Fleet(std::move(groups));
+  };
+  const double static_kw = reference.static_power_kw();
+  const auto levels = reference.levels();
+  const auto up = [](double x) {
+    return std::nextafter(x, std::numeric_limits<double>::infinity());
+  };
+
+  // The model name is not part of a type: an exact copy shares it.
+  EXPECT_EQ(types_of(fleet_with(ServerSpec("copy", static_kw, levels))),
+            (std::vector<std::size_t>{0, 0, 0, 0}));
+
+  std::vector<ServerSpec> variants;
+  auto rate = levels;
+  rate[1].service_rate = up(rate[1].service_rate);
+  variants.emplace_back("rate", static_kw, rate);
+  auto dynamic = levels;
+  dynamic[2].dynamic_power_kw = up(dynamic[2].dynamic_power_kw);
+  variants.emplace_back("dynamic", static_kw, dynamic);
+  variants.emplace_back("static", up(static_kw), levels);
+  auto fewer = levels;
+  fewer.pop_back();
+  variants.emplace_back("levels", static_kw, fewer);
+  for (const auto& odd : variants) {
+    SCOPED_TRACE(odd.model());
+    EXPECT_EQ(types_of(fleet_with(odd)),
+              (std::vector<std::size_t>{0, 0, 1, 0}));
+  }
+}
+
+TEST(ServerTypes, DefaultFleetHasOneTypePerGeneration) {
+  const auto fleet = make_default_fleet(
+      {.total_servers = 40'000, .group_count = 40, .generations = 4});
+  const auto types = types_of(fleet);
+  ASSERT_EQ(types.size(), 40u);
+  for (std::size_t g = 0; g < 40; ++g) EXPECT_EQ(types[g], g % 4);
+  EXPECT_EQ(fleet.tables().type_group.size(), 4u);
+}
+
+TEST(ServerTypes, DistinctGenerationsGiveOneTypePerGroup) {
+  const auto fleet = make_default_fleet(
+      {.total_servers = 40'000, .group_count = 40, .generations = 40});
+  const auto types = types_of(fleet);
+  ASSERT_EQ(types.size(), 40u);
+  for (std::size_t g = 0; g < 40; ++g) EXPECT_EQ(types[g], g);
 }
 
 }  // namespace

@@ -36,8 +36,7 @@ dc::Fleet test_fleet() {
                                  .group_count = 8,
                                  .generations = 4,
                                  .speed_spread = 0.18,
-                                 .power_spread = 0.12,
-                                 .seed = 1});
+                                 .power_spread = 0.12});
 }
 
 // ---------- peak-power capping ----------
@@ -218,7 +217,7 @@ TEST(Failures, DegradedFleetShrinksCapacity) {
 TEST(Failures, SolversSkipDeadGroups) {
   const auto fleet = dc::make_default_fleet(
       {.total_servers = 10'000, .group_count = 5, .generations = 2,
-       .speed_spread = 0.18, .power_spread = 0.12, .seed = 2});
+       .speed_spread = 0.18, .power_spread = 0.12});
   const auto degraded = dc::degraded_fleet(fleet, {0, 2'000, 0, 2'000, 0});
   const opt::SlotInput input{20'000.0, 0.0, 0.06};
   const auto sol = opt::LadderSolver().solve(degraded, input, test_weights());

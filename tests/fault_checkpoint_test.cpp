@@ -149,6 +149,30 @@ TEST(Checkpoint, RejectsCorruptAndMismatchedBlobs) {
       controller.restore(
           R"({"schema":"coca-ckpt-v1","controller":"COCA","slot":0,"queue":{"q":-1,"history":[]}})"),
       std::invalid_argument);
+
+  // A negative REC spend or purchase is refused before any state changes.
+  const auto dynamic_blob = [](const char* q, const char* spend,
+                               const char* purchases) {
+    std::string blob =
+        R"({"schema":"coca-ckpt-v1","controller":"COCA+dynamic-RECs",)";
+    blob += R"("slot":2,"queue":{"q":)";
+    blob += q;
+    blob += R"(,"history":[]},"ledger":{"purchased":3,"retired":3},"spend":)";
+    blob += spend;
+    blob += R"(,"purchases":[)";
+    blob += purchases;
+    blob += "]}";
+    return blob;
+  };
+  other.restore(dynamic_blob("5", "0.25", "1,2"));
+  ASSERT_EQ(other.purchase_history().size(), 2u);
+  EXPECT_THROW(other.restore(dynamic_blob("7", "-0.5", "1,2")),
+               std::invalid_argument);
+  EXPECT_THROW(other.restore(dynamic_blob("7", "0.25", "1,-2")),
+               std::invalid_argument);
+  EXPECT_EQ(other.queue_length(), 5.0);
+  EXPECT_EQ(other.total_spend(), 0.25);
+  EXPECT_EQ(other.purchase_history(), (std::vector<double>{1.0, 2.0}));
 }
 
 // --- Crash/restart through the simulator ---

@@ -154,9 +154,7 @@ TEST(AsyncTraceSink, DropNewestCountsEveryDiscardedRecord) {
   std::int64_t lines = 0;
   while (std::getline(written, line)) ++lines;
   EXPECT_EQ(lines + dropped, static_cast<std::int64_t>(slots.size()));
-#if !defined(COCA_OBS_DISABLED)
   EXPECT_EQ(registry.counter_value("obs.trace_dropped"), dropped);
-#endif
 }
 
 TEST(AsyncTraceSink, FlushMakesRecordsVisibleWithoutDestruction) {

@@ -17,8 +17,6 @@
 namespace coca::obs {
 namespace {
 
-#if !defined(COCA_OBS_DISABLED)
-
 TEST(ObsSpan, NestedSpansBuildSlashSeparatedPaths) {
   SpanProfiler profiler;
   SpanProfilerScope scope(&profiler);
@@ -198,21 +196,6 @@ TEST(ObsSpan, SpansAreNoOpsWithoutProfiler) {
   }
   SUCCEED();
 }
-
-#else  // COCA_OBS_DISABLED
-
-TEST(ObsSpan, DisabledBuildCompilesSpansToNothing) {
-  SpanProfiler profiler;
-  SpanProfilerScope scope(&profiler);
-  {
-    ScopedSpan s("slot");
-    ScopedSpan with_parent("gsd_chain[0]", std::string("slot"));
-    EXPECT_EQ(current_span_path(), "");
-  }
-  EXPECT_TRUE(profiler.snapshot().empty());
-}
-
-#endif  // COCA_OBS_DISABLED
 
 }  // namespace
 }  // namespace coca::obs

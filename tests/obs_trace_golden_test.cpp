@@ -153,7 +153,6 @@ TEST(ObsTraceGolden, SpanProfileFooterBitIdenticalAcrossThreadCounts) {
   const std::string parallel = span_profiled_gsd_run(scenario, 4, 4);
   ASSERT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);
-#if !defined(COCA_OBS_DISABLED)
   // The footer names the pipeline stages with their hierarchy.
   const std::string footer = serial.substr(serial.rfind("{\"schema\":"));
   EXPECT_NE(footer.find("coca-span-profile-v1"), std::string::npos);
@@ -173,7 +172,6 @@ TEST(ObsTraceGolden, SpanProfileFooterBitIdenticalAcrossThreadCounts) {
   const std::string initial_span =
       "\"path\":\"slot/gsd_chain[0]/load_lp\",\"count\":30";
   EXPECT_NE(footer.find(initial_span), std::string::npos) << footer;
-#endif
 }
 
 TEST(ObsTraceGolden, SweepTracesBitIdenticalAcrossThreadCounts) {

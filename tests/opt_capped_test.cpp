@@ -19,8 +19,7 @@ dc::Fleet fleet() {
                                  .group_count = 8,
                                  .generations = 4,
                                  .speed_spread = 0.18,
-                                 .power_spread = 0.12,
-                                 .seed = 1});
+                                 .power_spread = 0.12});
 }
 
 TEST(CappedSolver, LooseCapLeavesUnconstrainedOptimum) {

@@ -18,8 +18,7 @@ dc::Fleet tiny_fleet() {
                                  .group_count = 2,
                                  .generations = 2,
                                  .speed_spread = 0.2,
-                                 .power_spread = 0.15,
-                                 .seed = 5});
+                                 .power_spread = 0.15});
 }
 
 SlotWeights weights_with_power_price(double xi) {

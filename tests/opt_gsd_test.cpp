@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "obs/span.hpp"
 #include "opt/exhaustive_solver.hpp"
 #include "opt/load_balancer.hpp"
 #include "util/rng.hpp"
@@ -34,8 +35,7 @@ dc::Fleet small_fleet() {
                                  .group_count = 2,
                                  .generations = 2,
                                  .speed_spread = 0.2,
-                                 .power_spread = 0.15,
-                                 .seed = 5});
+                                 .power_spread = 0.15});
 }
 
 TEST(GsdAcceptance, MatchesPaperFormula) {
@@ -440,7 +440,11 @@ TEST(Gsd, KeptSolveReuseMatchesSolvingEveryExploration) {
   config.record_trajectory = true;
 
   const auto expected = solve_every_exploration(fleet, input, w, config);
-  const auto actual = GsdSolver(config).solve(fleet, input, w);
+  obs::SpanProfiler profiler;
+  const auto actual = [&] {
+    const obs::SpanProfilerScope scope(&profiler);
+    return GsdSolver(config).solve(fleet, input, w);
+  }();
   EXPECT_EQ(expected.evaluations, actual.evaluations);
   EXPECT_EQ(expected.accepted, actual.accepted);
   ASSERT_EQ(expected.trajectory.size(), actual.trajectory.size());
@@ -452,7 +456,13 @@ TEST(Gsd, KeptSolveReuseMatchesSolvingEveryExploration) {
   expect_same_solution(expected.solution, actual.solution, "kept");
   expect_same_solution(expected.best, actual.best, "best");
   // The reuse really ran: some evaluations were answered without a solve.
-  EXPECT_LT(actual.lp_stats.solves, actual.evaluations);
+  // Each solve opens one `load_lp` span: the initial one directly under the
+  // chain, the rest under a sweep iteration.
+  const auto spans = profiler.snapshot();
+  const std::int64_t solves = spans.at("gsd_chain[0]/load_lp").count +
+                              spans.at("gsd_chain[0]/sweep_iter/load_lp").count;
+  EXPECT_EQ(spans.at("gsd_chain[0]/load_lp").count, 1);
+  EXPECT_LT(solves, actual.evaluations);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
-// Property-test harness for the incremental load-LP engine (opt/load_lp.hpp).
+// Property-test harness for the table-driven load-LP engine
+// (opt/load_lp.hpp).
 //
-// The contract under test: LoadLpContext::solve must be *bit-for-bit*
-// identical to the reference balance_loads — nu, regime, effective price,
-// every load and the full SlotOutcome breakdown — across randomized fleets,
-// weights, lambdas and thousands of GSD-style single-group flip sequences,
-// including forced regime flips across the [p - r]^+ kink and
-// infeasible-capacity transitions.  The counters count every solve, and the
-// fleet tables and server types the ladder reads agree with the specs.
+// The contract under test: solve_load_lp must be *bit-for-bit* identical to
+// the reference balance_loads — nu, regime, effective price, every load and
+// the full SlotOutcome breakdown — across randomized fleets, weights
+// (including a pue that changes between solves), lambdas and thousands of
+// GSD-style single-group flip sequences, including forced regime flips
+// across the [p - r]^+ kink and infeasible-capacity transitions; no solve
+// may see an earlier one through the thread's scratch lanes; and the fleet
+// tables the solves read, scaled by pue, are the specs' expressions.
 //
 // All randomness is seeded through util::Rng (see tools/lint_determinism.py):
 // every run of this binary executes the exact same solve sequence.
@@ -16,9 +18,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dc/fleet.hpp"
@@ -136,13 +138,16 @@ TEST(IncrementalLp, BitExactOverThousandRandomFlipSequences) {
     input.onsite_kw =
         rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, 1.5) * power_scale;
 
-    LoadLpContext ctx(fleet);
     dc::Allocation state = full_alloc(fleet);
     for (int flip = 0; flip < 18; ++flip) {
+      // Every other solve runs at a higher pue: the pue-scaled terms must
+      // follow each solve's weights.
+      SlotWeights w = weights;
+      if (flip % 2 == 1) w.pue = weights.pue + 0.25;
       dc::Allocation ref_alloc = state;
       dc::Allocation inc_alloc = state;
-      const auto ref = balance_loads(fleet, ref_alloc, input, weights);
-      const auto inc = ctx.solve(inc_alloc, input, weights);
+      const auto ref = balance_loads(fleet, ref_alloc, input, w);
+      const auto inc = solve_load_lp(fleet, inc_alloc, input, w);
       expect_bit_identical(ref, inc, ref_alloc, inc_alloc,
                            "scenario " + std::to_string(scenario) + " flip " +
                                std::to_string(flip));
@@ -163,14 +168,14 @@ TEST(IncrementalLp, SolveLinearBitExactIncludingGreedyAndInfeasible) {
         dc::capped_capacity(fleet, full_alloc(fleet), weights.gamma);
     const double lambda = rng.uniform(0.0, 1.3) * capacity;
     const double mu = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 2.0);
-    LoadLpContext ctx(fleet);
     dc::Allocation state = full_alloc(fleet);
     for (int flip = 0; flip < 10; ++flip) {
       dc::Allocation ref_alloc = state;
       dc::Allocation inc_alloc = state;
       const double ref_nu =
           balance_loads_linear(fleet, ref_alloc, lambda, mu, weights);
-      const double inc_nu = ctx.solve_linear(inc_alloc, lambda, mu, weights);
+      const double inc_nu =
+          solve_load_lp_linear(fleet, inc_alloc, lambda, mu, weights);
       EXPECT_EQ(ref_nu, inc_nu) << "scenario " << scenario << " flip " << flip;
       for (std::size_t g = 0; g < ref_alloc.size(); ++g) {
         EXPECT_EQ(ref_alloc[g].load, inc_alloc[g].load)
@@ -236,14 +241,13 @@ TEST(IncrementalLp, BitExactAcrossForcedRegimeFlips) {
   // Three on-site supplies: none (all grid), mid (boundary pins / flips as
   // the ladder shrinks the fleet), abundant (all renewable).
   const double onsites[] = {0.0, 0.5 * (power_a + power_b), 10.0 * power_b};
-  LoadLpContext ctx(fleet);
   for (double onsite : onsites) {
     const SlotInput input{lambda, onsite, 0.06};
     for (std::size_t i = 0; i < ladder.size(); ++i) {
       dc::Allocation ref_alloc = ladder[i];
       dc::Allocation inc_alloc = ladder[i];
       const auto ref = balance_loads(fleet, ref_alloc, input, w);
-      const auto inc = ctx.solve(inc_alloc, input, w);
+      const auto inc = solve_load_lp(fleet, inc_alloc, input, w);
       expect_bit_identical(ref, inc, ref_alloc, inc_alloc,
                            "onsite " + std::to_string(onsite) + " step " +
                                std::to_string(i));
@@ -263,9 +267,8 @@ TEST(IncrementalLp, BitExactAcrossInfeasibleCapacityTransitions) {
   w.gamma = 0.9;
   const SlotInput input{50.0, 0.0, 0.06};  // needs most of the fleet
 
-  LoadLpContext ctx(fleet);
   // active = 1 is infeasible for lambda = 50 (capacity 16.2); the sequence
-  // transitions feasible -> infeasible -> feasible through one context.
+  // transitions feasible -> infeasible -> feasible on one thread's lanes.
   for (double active : {5.0, 1.0, 4.0, 1.0, 5.0}) {
     dc::Allocation alloc(fleet.group_count());
     for (auto& a : alloc) {
@@ -275,7 +278,7 @@ TEST(IncrementalLp, BitExactAcrossInfeasibleCapacityTransitions) {
     dc::Allocation ref_alloc = alloc;
     dc::Allocation inc_alloc = alloc;
     const auto ref = balance_loads(fleet, ref_alloc, input, w);
-    const auto inc = ctx.solve(inc_alloc, input, w);
+    const auto inc = solve_load_lp(fleet, inc_alloc, input, w);
     expect_bit_identical(ref, inc, ref_alloc, inc_alloc,
                          "active " + std::to_string(active));
     EXPECT_EQ(ref.feasible, active > 1.0);
@@ -291,7 +294,6 @@ TEST(IncrementalLp, RepeatedConfigurationIsBitIdentical) {
   w.beta = 0.01;
   w.gamma = 0.9;
   const SlotInput input{30.0, 0.0, 0.06};
-  LoadLpContext ctx(fleet);
 
   dc::Allocation a(fleet.group_count());
   for (auto& x : a) {
@@ -302,45 +304,19 @@ TEST(IncrementalLp, RepeatedConfigurationIsBitIdentical) {
   b[0].active = 3.0;
 
   dc::Allocation first = a;
-  const auto r1 = ctx.solve(first, input, w);
+  const auto r1 = solve_load_lp(fleet, first, input, w);
   dc::Allocation other = b;
-  ctx.solve(other, input, w);
+  solve_load_lp(fleet, other, input, w);
   dc::Allocation again = a;
-  const auto r2 = ctx.solve(again, input, w);
+  const auto r2 = solve_load_lp(fleet, again, input, w);
 
   expect_bit_identical(r1, r2, first, again, "repeated configuration");
 }
 
-TEST(IncrementalLp, StatsCountEverySolve) {
-  const auto fleet = two_group_fleet();
-  SlotWeights w;
-  w.V = 1.0;
-  w.beta = 0.01;
-  w.gamma = 0.9;
-  LoadLpContext ctx(fleet);
-  dc::Allocation alloc(fleet.group_count());
-  for (auto& a : alloc) {
-    a.level = 3;
-    a.active = 5.0;
-  }
-
-  SlotInput input{30.0, 0.0, 0.06};
-  auto c1 = alloc;
-  ctx.solve(c1, input, w);
-  auto c2 = alloc;
-  c2[0].active = 4.0;
-  ctx.solve(c2, input, w);
-  input.lambda = 31.0;  // a new slot's input
-  auto c3 = alloc;
-  ctx.solve(c3, input, w);
-
-  EXPECT_EQ(ctx.stats().solves, 3);
-  EXPECT_GT(ctx.stats().nu_iterations, 0);
-}
-
 TEST(IncrementalLp, FreshContextReproducesWarmContextBitForBit) {
-  // Earlier solves must be invisible in the results: a context that has
-  // seen unrelated solves answers exactly like a fresh one.
+  // Earlier solves must be invisible in the results: after unrelated solves
+  // on this thread's lanes, a solve answers exactly like the same solve on a
+  // new thread, whose lanes start empty.
   util::Rng rng(4242);
   const auto fleet = random_fleet(rng);
   const auto weights = random_weights(rng);
@@ -348,107 +324,28 @@ TEST(IncrementalLp, FreshContextReproducesWarmContextBitForBit) {
       dc::capped_capacity(fleet, full_alloc(fleet), weights.gamma);
   const SlotInput input{0.5 * capacity, 0.0, 0.07};
 
-  LoadLpContext warm_ctx(fleet);
   dc::Allocation state = full_alloc(fleet);
-  for (int i = 0; i < 8; ++i) {  // warm it up on unrelated configurations
+  for (int i = 0; i < 8; ++i) {  // warm the lanes on unrelated configurations
     auto scratch = state;
-    warm_ctx.solve(scratch, input, weights);
+    solve_load_lp(fleet, scratch, input, weights);
     gsd_flip(rng, fleet, state);
   }
   auto warm_alloc = state;
-  const auto warm = warm_ctx.solve(warm_alloc, input, weights);
+  const auto warm = solve_load_lp(fleet, warm_alloc, input, weights);
 
-  LoadLpContext fresh_ctx(fleet);
   auto fresh_alloc = state;
-  const auto fresh = fresh_ctx.solve(fresh_alloc, input, weights);
+  LoadBalanceResult fresh;
+  std::thread([&] {
+    fresh = solve_load_lp(fleet, fresh_alloc, input, weights);
+  }).join();
   expect_bit_identical(fresh, warm, fresh_alloc, warm_alloc, "fresh vs warm");
 }
 
-// --- server types: the ladder's per-type market clearing ------------------
-
-std::vector<std::size_t> types_of(const dc::Fleet& fleet) {
-  LoadLpContext lp(fleet);
-  const auto tables = lp.tables(SlotWeights{});
-  return {tables.group_type.begin(), tables.group_type.end()};
-}
-
-TEST(ServerTypes, EqualSpecsShareATypeWhateverTheServerCount) {
-  const auto fleet = dc::make_default_fleet(
-      {.total_servers = 8'000, .group_count = 8, .generations = 4});
-  // Group 2 loses every server, groups 1 and 6 some of theirs.
-  const auto degraded =
-      dc::degraded_fleet(fleet, {0, 500, 1'000, 0, 0, 0, 999, 0});
-  ASSERT_EQ(degraded.group(2).server_count(), 0u);
-  LoadLpContext lp(degraded);
-  const auto tables = lp.tables(SlotWeights{});
-  ASSERT_EQ(tables.type_group.size(), 4u);
-  for (std::size_t t = 0; t < 4; ++t) EXPECT_EQ(tables.type_group[t], t);
-  for (std::size_t g = 0; g < 8; ++g) {
-    EXPECT_EQ(tables.group_type[g], g % 4) << "group " << g;
-    EXPECT_EQ(tables.servers[g],
-              static_cast<double>(degraded.group(g).server_count()));
-  }
-}
-
-TEST(ServerTypes, AnyValueTheClearingReadsSplitsAType) {
-  const auto reference = dc::ServerSpec::opteron2380();
-  const auto fleet_with = [&](const dc::ServerSpec& odd) {
-    std::vector<dc::ServerGroup> groups;
-    for (std::size_t g = 0; g < 4; ++g) {
-      groups.emplace_back(g == 2 ? odd : reference, 10);
-    }
-    return dc::Fleet(std::move(groups));
-  };
-  const double static_kw = reference.static_power_kw();
-  const auto levels = reference.levels();
-  const auto up = [](double x) {
-    return std::nextafter(x, std::numeric_limits<double>::infinity());
-  };
-
-  // The model name is not part of a type: an exact copy shares it.
-  EXPECT_EQ(types_of(fleet_with(dc::ServerSpec("copy", static_kw, levels))),
-            (std::vector<std::size_t>{0, 0, 0, 0}));
-
-  std::vector<dc::ServerSpec> variants;
-  auto rate = levels;
-  rate[1].service_rate = up(rate[1].service_rate);
-  variants.emplace_back("rate", static_kw, rate);
-  auto dynamic = levels;
-  dynamic[2].dynamic_power_kw = up(dynamic[2].dynamic_power_kw);
-  variants.emplace_back("dynamic", static_kw, dynamic);
-  variants.emplace_back("static", up(static_kw), levels);
-  auto fewer = levels;
-  fewer.pop_back();
-  variants.emplace_back("levels", static_kw, fewer);
-  for (const auto& odd : variants) {
-    SCOPED_TRACE(odd.model());
-    EXPECT_EQ(types_of(fleet_with(odd)),
-              (std::vector<std::size_t>{0, 0, 1, 0}));
-  }
-}
-
-TEST(ServerTypes, DefaultFleetHasOneTypePerGeneration) {
-  const auto fleet = dc::make_default_fleet(
-      {.total_servers = 40'000, .group_count = 40, .generations = 4});
-  const auto types = types_of(fleet);
-  ASSERT_EQ(types.size(), 40u);
-  for (std::size_t g = 0; g < 40; ++g) EXPECT_EQ(types[g], g % 4);
-  LoadLpContext lp(fleet);
-  EXPECT_EQ(lp.tables(SlotWeights{}).type_group.size(), 4u);
-}
-
-TEST(ServerTypes, DistinctGenerationsGiveOneTypePerGroup) {
-  const auto fleet = dc::make_default_fleet(
-      {.total_servers = 40'000, .group_count = 40, .generations = 40});
-  const auto types = types_of(fleet);
-  ASSERT_EQ(types.size(), 40u);
-  for (std::size_t g = 0; g < 40; ++g) EXPECT_EQ(types[g], g);
-}
-
 TEST(ServerTypes, TablesFollowPueAndKeepLaterSolvesExact) {
-  // The pue-scaled tables are the specs' expressions bit for bit, and
-  // reading them at a new pue between solves must not leave the class
-  // arrays on the old entries.
+  // The fleet tables hold no pue: scaled where used they are the specs'
+  // pue-scaled expressions bit for bit at any pue, solving does not change
+  // them, and a solve at a new pue after one at the old pue matches the
+  // reference at the new pue.
   util::Rng rng(77);
   const auto fleet = random_fleet(rng);
   auto weights = random_weights(rng);
@@ -457,28 +354,36 @@ TEST(ServerTypes, TablesFollowPueAndKeepLaterSolvesExact) {
       dc::capped_capacity(fleet, full_alloc(fleet), weights.gamma);
   const SlotInput input{0.6 * capacity, 0.0, 0.07};
 
-  LoadLpContext lp(fleet);
   auto first = full_alloc(fleet);
-  lp.solve(first, input, weights);
+  solve_load_lp(fleet, first, input, weights);
 
   SlotWeights other = weights;
   other.pue = weights.pue + 0.25;
-  const auto tables = lp.tables(other);
+  const dc::FleetTables& tables = fleet.tables();
   for (std::size_t g = 0; g < fleet.group_count(); ++g) {
     const auto& spec = fleet.group(g).spec();
-    EXPECT_EQ(tables.facility_static[g], other.pue * spec.static_power_kw());
+    EXPECT_EQ(other.pue * tables.static_kw[g],
+              other.pue * spec.static_power_kw());
     for (std::size_t k = 0; k < spec.level_count(); ++k) {
       const std::size_t i = tables.level_offset[g] + k;
       EXPECT_EQ(tables.rate[i], spec.level(k).service_rate);
-      EXPECT_EQ(tables.facility_slope[i], other.pue * spec.dynamic_slope(k));
+      EXPECT_EQ(other.pue * tables.dynamic_slope[i],
+                other.pue * spec.dynamic_slope(k));
     }
   }
 
   auto inc_alloc = full_alloc(fleet);
-  const auto inc = lp.solve(inc_alloc, input, other);
+  const auto inc = solve_load_lp(fleet, inc_alloc, input, other);
   auto ref_alloc = full_alloc(fleet);
   const auto ref = balance_loads(fleet, ref_alloc, input, other);
-  expect_bit_identical(ref, inc, ref_alloc, inc_alloc, "after tables()");
+  expect_bit_identical(ref, inc, ref_alloc, inc_alloc, "at the new pue");
+
+  // And back at the old pue, after the new-pue solve.
+  auto back_alloc = full_alloc(fleet);
+  const auto back = solve_load_lp(fleet, back_alloc, input, weights);
+  auto old_alloc = full_alloc(fleet);
+  const auto old_ref = balance_loads(fleet, old_alloc, input, weights);
+  expect_bit_identical(old_ref, back, old_alloc, back_alloc, "back at old pue");
 }
 
 }  // namespace

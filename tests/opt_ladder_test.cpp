@@ -42,7 +42,7 @@ TEST(LadderSolver, InfeasibleWhenLambdaExceedsCapacity) {
 TEST(LadderSolver, ServesLambdaExactly) {
   const auto fleet = dc::make_default_fleet(
       {.total_servers = 10'000, .group_count = 8, .generations = 4,
-       .speed_spread = 0.18, .power_spread = 0.12, .seed = 1});
+       .speed_spread = 0.18, .power_spread = 0.12});
   for (double lambda : {100.0, 5'000.0, 40'000.0, 80'000.0}) {
     const auto sol = LadderSolver().solve(fleet, {lambda, 0.0, 0.06},
                                           weights_with(1.0, 0.0, 0.005));
@@ -54,7 +54,7 @@ TEST(LadderSolver, ServesLambdaExactly) {
 TEST(LadderSolver, BrownEnergyNonIncreasingInQ) {
   const auto fleet = dc::make_default_fleet(
       {.total_servers = 50'000, .group_count = 10, .generations = 4,
-       .speed_spread = 0.18, .power_spread = 0.12, .seed = 2});
+       .speed_spread = 0.18, .power_spread = 0.12});
   double prev = 1e18;
   for (double q : {0.0, 1.0, 10.0, 100.0, 1'000.0, 10'000.0}) {
     const auto sol = LadderSolver().solve(fleet, {150'000.0, 0.0, 0.06},
@@ -70,7 +70,7 @@ TEST(LadderSolver, CostNonDecreasingInQ) {
   // only go up (the solver sacrifices cost to save energy).
   const auto fleet = dc::make_default_fleet(
       {.total_servers = 50'000, .group_count = 10, .generations = 4,
-       .speed_spread = 0.18, .power_spread = 0.12, .seed = 2});
+       .speed_spread = 0.18, .power_spread = 0.12});
   double prev = 0.0;
   for (double q : {0.0, 10.0, 1'000.0, 100'000.0}) {
     const auto sol = LadderSolver().solve(fleet, {150'000.0, 0.0, 0.06},
@@ -120,7 +120,7 @@ TEST(LadderSolver, BoundaryRegimeTracksOnsiteSupply) {
 TEST(LadderSolver, IntegerCountsAreIntegral) {
   const auto fleet = dc::make_default_fleet(
       {.total_servers = 1'000, .group_count = 5, .generations = 2,
-       .speed_spread = 0.18, .power_spread = 0.12, .seed = 3});
+       .speed_spread = 0.18, .power_spread = 0.12});
   const auto sol = LadderSolver().solve(fleet, {2'000.0, 0.0, 0.06},
                                         weights_with(1.0, 5.0, 0.01));
   ASSERT_TRUE(sol.feasible);
@@ -134,7 +134,7 @@ TEST(LadderSolver, PreferredGenerationsActivatedFirst) {
   // the load; the oldest generation should be (mostly) off.
   const auto fleet = dc::make_default_fleet(
       {.total_servers = 40'000, .group_count = 8, .generations = 4,
-       .speed_spread = 0.25, .power_spread = 0.25, .seed = 4});
+       .speed_spread = 0.25, .power_spread = 0.25});
   const auto sol = LadderSolver().solve(fleet, {60'000.0, 0.0, 0.06},
                                         weights_with(1.0, 500.0, 0.002));
   ASSERT_TRUE(sol.feasible);
@@ -161,7 +161,7 @@ TEST_P(LadderVsExhaustive, WithinToleranceOfGlobalOptimum) {
   // 2 groups x 3 servers: exhaustive search is exact ground truth.
   const auto fleet = dc::make_default_fleet(
       {.total_servers = 6, .group_count = 2, .generations = 2,
-       .speed_spread = 0.2, .power_spread = 0.15, .seed = 5});
+       .speed_spread = 0.2, .power_spread = 0.15});
   const auto& p = GetParam();
   const SlotInput input{p.lambda, p.onsite, p.price};
   const auto w = weights_with(1.0, p.q, 0.01);

@@ -12,8 +12,11 @@
 
 #include <bit>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
+#include "obs/span.hpp"
 #include "opt/gsd.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
@@ -34,14 +37,6 @@ void expect_same_alloc(const dc::Allocation& a, const dc::Allocation& b) {
   }
 }
 
-void expect_same_lp_stats(const opt::LoadLpStats& a, const opt::LoadLpStats& b) {
-  // The load-LP engine's counters are part of the contract: per-chain
-  // contexts make them a pure function of the config, so thread count must
-  // not move them.
-  EXPECT_EQ(a.solves, b.solves);
-  EXPECT_EQ(a.nu_iterations, b.nu_iterations);
-}
-
 void expect_same_gsd_result(const opt::GsdResult& a, const opt::GsdResult& b) {
   expect_same_bits(a.solution.outcome.objective, b.solution.outcome.objective);
   expect_same_bits(a.best.outcome.objective, b.best.outcome.objective);
@@ -53,7 +48,6 @@ void expect_same_gsd_result(const opt::GsdResult& a, const opt::GsdResult& b) {
   EXPECT_EQ(a.winning_chain, b.winning_chain);
   expect_same_alloc(a.solution.alloc, b.solution.alloc);
   expect_same_alloc(a.best.alloc, b.best.alloc);
-  expect_same_lp_stats(a.lp_stats, b.lp_stats);
 }
 
 dc::Fleet small_fleet() {
@@ -61,8 +55,7 @@ dc::Fleet small_fleet() {
                                  .group_count = 3,
                                  .generations = 2,
                                  .speed_spread = 0.2,
-                                 .power_spread = 0.15,
-                                 .seed = 5});
+                                 .power_spread = 0.15});
 }
 
 opt::SlotWeights small_weights() {
@@ -83,23 +76,50 @@ opt::GsdConfig multi_chain_config(int threads) {
   return config;
 }
 
+/// A GSD result with the `load_lp` span count of every span path: one span
+/// per load-LP solve, so the map is the solve count per chain and stage.
+struct ProfiledGsd {
+  opt::GsdResult result;
+  std::map<std::string, std::int64_t> load_lp_spans;
+};
+
+ProfiledGsd solve_profiled(const opt::GsdConfig& config,
+                           const dc::Fleet& fleet, const opt::SlotInput& input,
+                           const opt::SlotWeights& w) {
+  obs::SpanProfiler profiler;
+  ProfiledGsd out;
+  {
+    const obs::SpanProfilerScope scope(&profiler);
+    out.result = opt::GsdSolver(config).solve(fleet, input, w);
+  }
+  for (const auto& [path, stats] : profiler.snapshot()) {
+    if (path.ends_with("load_lp")) out.load_lp_spans[path] = stats.count;
+  }
+  return out;
+}
+
 TEST(MultiChainGsdDeterminism, OneThreadMatchesManyThreadsBitwise) {
   const auto fleet = small_fleet();
   const opt::SlotInput input{30.0, 0.0, 0.06};
   const auto w = small_weights();
 
-  const auto serial =
-      opt::GsdSolver(multi_chain_config(1)).solve(fleet, input, w);
-  const auto parallel =
-      opt::GsdSolver(multi_chain_config(4)).solve(fleet, input, w);
+  const auto serial = solve_profiled(multi_chain_config(1), fleet, input, w);
+  const auto parallel = solve_profiled(multi_chain_config(4), fleet, input, w);
   const auto default_threads =
-      opt::GsdSolver(multi_chain_config(0)).solve(fleet, input, w);
+      solve_profiled(multi_chain_config(0), fleet, input, w);
 
-  expect_same_gsd_result(serial, parallel);
-  expect_same_gsd_result(serial, default_threads);
+  expect_same_gsd_result(serial.result, parallel.result);
+  expect_same_gsd_result(serial.result, default_threads.result);
+  // The solve counts are part of the contract: each chain's solve sequence
+  // is a pure function of the config, so thread count must not move them.
+  EXPECT_EQ(serial.load_lp_spans, parallel.load_lp_spans);
+  EXPECT_EQ(serial.load_lp_spans, default_threads.load_lp_spans);
+  EXPECT_EQ(serial.load_lp_spans.size(), 8u);  // 4 chains x 2 stages
   // Every solve is an evaluation; evaluations that land back on a chain's
   // kept configuration reuse its solve.
-  EXPECT_LE(serial.lp_stats.solves, serial.evaluations);
+  std::int64_t solves = 0;
+  for (const auto& [path, count] : serial.load_lp_spans) solves += count;
+  EXPECT_LE(solves, serial.result.evaluations);
 }
 
 TEST(MultiChainGsdDeterminism, RepeatedInvocationsAreBitIdentical) {
@@ -176,8 +196,7 @@ sim::Scenario tiny_scenario() {
                   .group_count = 4,
                   .generations = 2,
                   .speed_spread = 0.18,
-                  .power_spread = 0.12,
-                  .seed = 42};
+                  .power_spread = 0.12};
   config.peak_rate = 600.0;
   return sim::build_scenario(config);
 }

@@ -144,10 +144,8 @@ TEST(ThreadPool, QueueHighWaterTracksDeepestBacklog) {
   pool.wait();
   // High-water is monotone: draining the queue must not reset it.
   EXPECT_GE(pool.queue_high_water(), 8u);
-#if !defined(COCA_OBS_DISABLED)
   // The same saturation signal is exported as a gauge.
   EXPECT_GE(registry.gauge("pool.queue_high_water").max(), 8.0);
-#endif
 }
 
 TEST(ThreadPool, QueueHighWaterIsMonotoneUnderContention) {
