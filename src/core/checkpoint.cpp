@@ -1,31 +1,16 @@
 #include "core/checkpoint.hpp"
 
 #include <stdexcept>
-#include <vector>
 
 namespace coca::core {
 
 std::string queue_to_json(const CarbonDeficitQueue& queue) {
-  std::string out = "{\"q\":";
-  out += obs::json_number(queue.length());
-  out += ",\"history\":[";
-  const auto& history = queue.history();
-  for (std::size_t i = 0; i < history.size(); ++i) {
-    if (i > 0) out += ',';
-    out += obs::json_number(history[i]);
-  }
-  out += "]}";
-  return out;
+  return "{\"q\":" + obs::json_number(queue.length()) + "}";
 }
 
 void queue_from_json(const obs::JsonValue& fragment,
                      CarbonDeficitQueue& queue) {
-  const double q = fragment.at("q").as_double();
-  std::vector<double> history;
-  const auto& entries = fragment.at("history").as_array();
-  history.reserve(entries.size());
-  for (const auto& entry : entries) history.push_back(entry.as_double());
-  queue.restore(q, std::move(history));
+  queue.restore(fragment.at("q").as_double());
 }
 
 std::string render_checkpoint(const std::string& controller,

@@ -1,5 +1,5 @@
 #pragma once
-// coca-ckpt-v1: controller crash/restart serialization.
+// coca-ckpt-v2: controller crash/restart serialization.
 //
 // A checkpoint is a single-line JSON document rendered with obs/json's
 // std::to_chars number formatting.  Shortest-round-trip rendering means every
@@ -7,16 +7,21 @@
 // restore-then-run bit-identical to an uninterrupted run (pinned by
 // tests/fault_checkpoint_test.cpp).  Envelope:
 //
-//   {"schema":"coca-ckpt-v1","controller":"<name>","slot":N, ...state...}
+//   {"schema":"coca-ckpt-v2","controller":"<name>","slot":N, ...state...}
 //
 // Controller state fields:
-//   COCA               "queue":{"q":<double>,"history":[<double>...]}
+//   COCA               "queue":{"q":<double>}
 //   COCA+dynamic-RECs  the queue plus "ledger":{"purchased":..,"retired":..},
-//                      "spend":<double>,"purchases":[<double>...]
+//                      "spend":<double>
 //
-// The V schedule carries no state on purpose: V_r is a pure function of the
-// slot index and the (immutable) controller config, so a restored controller
-// re-derives it from t alone.
+// A blob is constant-size: it holds the controller's cross-slot state and no
+// per-slot record.  q(t) is all the past that COCA reads (Eq. 17 updates it
+// and P3 weighs energy by it), and the dynamic-REC policy adds only its
+// running ledger and spend totals.  The V schedule carries no state on
+// purpose: V_r is a pure function of the slot index and the (immutable)
+// controller config, so a restored controller re-derives it from t alone.
+// Blobs never leave the process that wrote them, so parse_checkpoint accepts
+// the current schema only.
 
 #include <cstddef>
 #include <string>
@@ -26,13 +31,14 @@
 
 namespace coca::core {
 
-inline constexpr const char* kCheckpointSchema = "coca-ckpt-v1";
+inline constexpr const char* kCheckpointSchema = "coca-ckpt-v2";
 
-/// Render the deficit-queue state as a JSON object: {"q":..,"history":[..]}.
+/// Render the deficit-queue state as a JSON object: {"q":..}.
 std::string queue_to_json(const CarbonDeficitQueue& queue);
 
 /// Restore deficit-queue state from a parsed `queue` fragment; throws
-/// std::runtime_error on a malformed fragment.
+/// std::runtime_error on a malformed fragment and std::invalid_argument on a
+/// negative or non-finite q, leaving `queue` unchanged either way.
 void queue_from_json(const obs::JsonValue& fragment, CarbonDeficitQueue& queue);
 
 /// Assemble the envelope around already-rendered state fields.

@@ -68,7 +68,7 @@ class CocaController final : public SlotController {
     eval_budget_ = max_evaluations;
   }
 
-  /// coca-ckpt-v1 crash/restart: the carbon-deficit queue is the
+  /// coca-ckpt-v2 crash/restart: the carbon-deficit queue is the
   /// controller's only cross-slot state (V_r is a pure function of t).
   bool supports_checkpoint() const override { return true; }
   std::string checkpoint(std::size_t upto_slot) const override;

@@ -88,7 +88,7 @@ class SlotController {
   }
 
   /// Crash/restart support: controllers that can serialize their state into
-  /// a coca-ckpt-v1 blob (see core/checkpoint.hpp) return true and implement
+  /// a coca-ckpt-v2 blob (see core/checkpoint.hpp) return true and implement
   /// the pair below.  `checkpoint(t)` captures the state after slots [0, t);
   /// `restore` replaces the controller's state with the blob's.
   virtual bool supports_checkpoint() const { return false; }

@@ -1,5 +1,6 @@
 #include "core/deficit_queue.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace coca::core {
@@ -20,22 +21,15 @@ units::KiloWattHours CarbonDeficitQueue::update(
   const units::KiloWattHours next = units::positive_part(
       deficit() + brown - alpha * (offsite + rec_per_slot));
   q_ = next.value();  // UNITS: q(t) is the raw Lyapunov shadow price
-  history_.push_back(q_);
   return next;
 }
 
-void CarbonDeficitQueue::restore(double q, std::vector<double> history) {
-  if (q < 0.0) {
-    throw std::invalid_argument("CarbonDeficitQueue::restore: negative length");
-  }
-  for (const double h : history) {
-    if (h < 0.0) {
-      throw std::invalid_argument(
-          "CarbonDeficitQueue::restore: negative history entry");
-    }
+void CarbonDeficitQueue::restore(double q) {
+  if (!std::isfinite(q) || q < 0.0) {
+    throw std::invalid_argument(
+        "CarbonDeficitQueue::restore: length must be finite and >= 0");
   }
   q_ = q;
-  history_ = std::move(history);
 }
 
 }  // namespace coca::core

@@ -19,9 +19,6 @@
 // electricity").  Algorithm 1 resets the queue at the start of every frame
 // so the cost-carbon parameter V can be re-tuned.
 
-#include <cstddef>
-#include <vector>
-
 #include "util/units.hpp"
 
 namespace coca::core {
@@ -55,17 +52,15 @@ class CarbonDeficitQueue {
   /// Frame reset (Algorithm 1 lines 2-4).
   void reset() { q_ = 0.0; }
 
-  /// Crash/restart: replace the full queue state (length + history) with a
-  /// checkpointed snapshot (core/checkpoint.hpp).  Throws on a negative
-  /// length — a restored queue must still be a valid [.]^+ iterate.
-  void restore(double q, std::vector<double> history);
-
-  /// Queue length after every update so far (diagnostics / Theorem 2 checks).
-  const std::vector<double>& history() const { return history_; }
+  /// Crash/restart: replace the queue state with a checkpointed length
+  /// (core/checkpoint.hpp).  q is the queue's whole state: Eq. 17 and P3
+  /// read the past only through it.  Throws std::invalid_argument, leaving
+  /// the queue unchanged, unless q is finite and >= 0 — a restored queue
+  /// must still be a valid [.]^+ iterate.
+  void restore(double q);
 
  private:
   double q_ = 0.0;
-  std::vector<double> history_;
 };
 
 }  // namespace coca::core

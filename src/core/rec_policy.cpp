@@ -67,7 +67,6 @@ void DynamicRecCocaController::observe(std::size_t t,
   // ... then the procurement decision against the post-update queue: the
   // purchase offsets deficit exactly like alpha*f would have.
   const double bought = purchase_decision(t, queue_.length());
-  purchases_.push_back(bought);
   if (bought > 0.0) {
     obs::count("rec.purchases");
     obs::observe("rec.purchase_kwh", bought);
@@ -95,12 +94,6 @@ std::string DynamicRecCocaController::checkpoint(std::size_t upto_slot) const {
   state += obs::json_number(ledger_.retired_total());
   state += "},\"spend\":";
   state += obs::json_number(spend_);
-  state += ",\"purchases\":[";
-  for (std::size_t i = 0; i < purchases_.size(); ++i) {
-    if (i > 0) state += ',';
-    state += obs::json_number(purchases_[i]);
-  }
-  state += ']';
   return render_checkpoint(name(), upto_slot, state);
 }
 
@@ -108,28 +101,19 @@ void DynamicRecCocaController::restore(const std::string& blob) {
   const obs::JsonValue doc = parse_checkpoint(blob, name());
   // Everything is read and checked into locals first, so a rejected blob
   // leaves the controller exactly as it was.
-  const auto non_negative = [](double value, const char* what) {
-    if (!std::isfinite(value) || value < 0.0) {
-      throw std::invalid_argument(
-          std::string("DynamicRecCoca::restore: invalid ") + what);
-    }
-    return value;
-  };
   CarbonDeficitQueue queue;
   queue_from_json(doc.at("queue"), queue);
   energy::RecLedger ledger;
   const auto& ledger_doc = doc.at("ledger");
   ledger.restore(ledger_doc.at("purchased").as_double(),
                  ledger_doc.at("retired").as_double());
-  const double spend = non_negative(doc.at("spend").as_double(), "spend");
-  std::vector<double> purchases;
-  for (const auto& entry : doc.at("purchases").as_array()) {
-    purchases.push_back(non_negative(entry.as_double(), "purchase"));
+  const double spend = doc.at("spend").as_double();
+  if (!std::isfinite(spend) || spend < 0.0) {
+    throw std::invalid_argument("DynamicRecCoca::restore: invalid spend");
   }
-  queue_ = std::move(queue);
+  queue_ = queue;
   ledger_ = ledger;
   spend_ = spend;
-  purchases_ = std::move(purchases);
   obs::count("rec.restores");
 }
 

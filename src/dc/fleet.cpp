@@ -97,8 +97,10 @@ Fleet make_default_fleet(const FleetConfig& config) {
   const std::size_t generations = std::max<std::size_t>(1, config.generations);
   const ServerSpec reference = ServerSpec::opteron2380();
 
-  std::vector<ServerSpec> specs;
-  specs.reserve(generations);
+  // One group per generation, whose spec every group of that generation
+  // shares.
+  std::vector<ServerGroup> generation;
+  generation.reserve(generations);
   for (std::size_t j = 0; j < generations; ++j) {
     const double frac =
         generations == 1
@@ -108,8 +110,9 @@ Fleet make_default_fleet(const FleetConfig& config) {
     // and draw relatively more power per unit work.
     const double speed_factor = 1.0 - config.speed_spread * frac;
     const double power_factor = 1.0 + config.power_spread * frac;
-    specs.push_back(reference.scaled(
-        "gen-" + std::to_string(j), speed_factor, power_factor));
+    generation.emplace_back(reference.scaled("gen-" + std::to_string(j),
+                                             speed_factor, power_factor),
+                            0);
   }
 
   const std::size_t base = config.total_servers / config.group_count;
@@ -119,18 +122,14 @@ Fleet make_default_fleet(const FleetConfig& config) {
   for (std::size_t g = 0; g < config.group_count; ++g) {
     std::size_t count = base + (remainder > 0 ? 1 : 0);
     if (remainder > 0) --remainder;
-    groups.emplace_back(specs[g % generations], count);
+    groups.push_back(generation[g % generations].with_server_count(count));
   }
   return Fleet(std::move(groups));
 }
 
 Fleet make_homogeneous_fleet(std::size_t groups, std::size_t servers_per_group) {
-  std::vector<ServerGroup> out;
-  out.reserve(groups);
-  for (std::size_t g = 0; g < groups; ++g) {
-    out.emplace_back(ServerSpec::opteron2380(), servers_per_group);
-  }
-  return Fleet(std::move(out));
+  return Fleet(std::vector<ServerGroup>(
+      groups, ServerGroup(ServerSpec::opteron2380(), servers_per_group)));
 }
 
 Fleet degraded_fleet(const Fleet& fleet,
@@ -146,7 +145,7 @@ Fleet degraded_fleet(const Fleet& fleet,
     if (failed > have) {
       throw std::invalid_argument("degraded_fleet: more failures than servers");
     }
-    groups.emplace_back(fleet.group(g).spec(), have - failed);
+    groups.push_back(fleet.group(g).with_server_count(have - failed));
   }
   return Fleet(std::move(groups), fleet.tables_);
 }

@@ -83,7 +83,8 @@ Fleet make_homogeneous_fleet(std::size_t groups, std::size_t servers_per_group);
 /// `failed_per_group[g]` servers removed from group g.  Groups are preserved
 /// (a fully-failed group keeps zero servers) so allocations and controllers
 /// keep their dimensions and can continue mid-run.  Every spec is kept, so
-/// the copy shares `fleet`'s tables.  Throws if more servers fail than exist.
+/// the copy shares `fleet`'s specs and tables; only its server counts are
+/// its own.  Throws if more servers fail than exist.
 Fleet degraded_fleet(const Fleet& fleet,
                      const std::vector<std::size_t>& failed_per_group);
 

@@ -7,8 +7,13 @@
 // ServerSpec and a server count; a provisioning decision for the group is a
 // speed level plus the number of active servers, and by symmetry every active
 // server in a group receives the same load.
+//
+// The spec is immutable and held by shared pointer, so copies of a group
+// (a degraded fleet's, or another group of the same hardware) share one
+// spec instead of copying its levels.
 
 #include <cstddef>
+#include <memory>
 
 #include "dc/server_spec.hpp"
 
@@ -18,8 +23,11 @@ class ServerGroup {
  public:
   ServerGroup(ServerSpec spec, std::size_t server_count);
 
-  const ServerSpec& spec() const { return spec_; }
+  const ServerSpec& spec() const { return *spec_; }
   std::size_t server_count() const { return count_; }
+
+  /// This group's hardware with `server_count` servers; shares the spec.
+  ServerGroup with_server_count(std::size_t server_count) const;
 
   /// Peak service capacity of the whole group (req/s, all at top speed).
   double max_capacity() const;
@@ -37,7 +45,7 @@ class ServerGroup {
   double delay_cost(std::size_t k, double active, double group_lambda) const;
 
  private:
-  ServerSpec spec_;
+  std::shared_ptr<const ServerSpec> spec_;
   std::size_t count_;
 };
 

@@ -1,6 +1,7 @@
 #include "energy/rec_ledger.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace coca::energy {
 
@@ -32,9 +33,10 @@ double RecLedger::retire_up_to(double kwh) {
 }
 
 void RecLedger::restore(double purchased_kwh, double retired_kwh) {
-  if (retired_kwh < 0.0 || purchased_kwh < retired_kwh) {
+  if (!std::isfinite(purchased_kwh) || !std::isfinite(retired_kwh) ||
+      retired_kwh < 0.0 || purchased_kwh < retired_kwh) {
     throw std::invalid_argument(
-        "RecLedger::restore: need 0 <= retired <= purchased");
+        "RecLedger::restore: need finite 0 <= retired <= purchased");
   }
   purchased_ = purchased_kwh;
   retired_ = retired_kwh;

@@ -26,7 +26,9 @@ class RecLedger {
   double retire_up_to(double kwh);
 
   /// Crash/restart: replace the ledger totals with a checkpointed snapshot
-  /// (core/checkpoint.hpp).  Throws unless 0 <= retired <= purchased.
+  /// (core/checkpoint.hpp).  Throws std::invalid_argument, leaving the
+  /// ledger unchanged, unless both totals are finite and
+  /// 0 <= retired <= purchased.
   void restore(double purchased_kwh, double retired_kwh);
 
   double balance() const { return purchased_ - retired_; }

@@ -30,20 +30,24 @@ Injector::Injector(const dc::Fleet& fleet, const Schedule& schedule,
   crash_.assign(slots, 0);
 
   // Per-slot failed-server counts: max failed fraction across overlapping
-  // outages, rounded to whole servers per group.
+  // outages, rounded to whole servers per group.  One sweep over the
+  // begin-sorted events: `active` holds the outages covering slot t, so a
+  // slot costs its own outages, not the schedule's.
   std::vector<double> fraction(fleet.group_count(), 0.0);
   std::vector<std::size_t> failed(fleet.group_count(), 0);
   std::map<std::vector<std::size_t>, std::size_t> fleet_cache;
+  std::vector<const OutageEvent*> active;
+  auto next = schedule_.outages.cbegin();
   for (std::size_t t = 0; t < slots; ++t) {
-    std::fill(fraction.begin(), fraction.end(), 0.0);
-    bool any = false;
-    for (const auto& ev : schedule_.outages) {
-      if (ev.begin <= t && t < ev.end) {
-        fraction[ev.group] = std::max(fraction[ev.group], ev.fraction);
-        any = true;
-      }
+    for (; next != schedule_.outages.cend() && next->begin <= t; ++next) {
+      active.push_back(&*next);
     }
-    if (!any) continue;
+    std::erase_if(active, [t](const OutageEvent* ev) { return ev->end <= t; });
+    if (active.empty()) continue;
+    std::fill(fraction.begin(), fraction.end(), 0.0);
+    for (const OutageEvent* ev : active) {
+      fraction[ev->group] = std::max(fraction[ev->group], ev->fraction);
+    }
     for (std::size_t g = 0; g < fleet.group_count(); ++g) {
       const auto servers = fleet.group(g).server_count();
       failed[g] = std::min(

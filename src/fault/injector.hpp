@@ -5,9 +5,14 @@
 // fleet and horizon, resolves every event list into flat per-slot lookup
 // tables, and materializes one dc::Fleet per *distinct* degraded
 // configuration (slots sharing a failed-per-group vector share the fleet
-// object, so a 6-month outage costs one fleet copy, not 4 000).  After
-// construction every hook is a const, allocation-free table lookup — safe to
-// call from parallel sweep workers, each of which owns its own injector.
+// object, so a 6-month outage costs one fleet copy, not 4 000).  Outages are
+// resolved in one sweep over the begin-sorted events that max-merges only
+// the outages active at each slot, so building costs O(slots x groups +
+// events), not O(slots x events).  A degraded copy shares the baseline's
+// server specs and load-LP tables (dc::degraded_fleet) and holds only its
+// per-group server counts.  After construction every hook is a const,
+// allocation-free table lookup — safe to call from parallel sweep workers,
+// each of which owns its own injector.
 //
 // Lint contract (tools/coca_lint.py `fault-hooks`): every Injector method is
 // either span-instrumented (obs::ScopedSpan) or carries an explicit
@@ -44,7 +49,7 @@ struct FaultStats {
   std::int64_t fallback_activations = 0;  ///< deadline fallbacks actuated
   std::int64_t shed_slots = 0;            ///< slots that shed load
   std::int64_t crash_restarts = 0;        ///< controller restore events
-  std::int64_t checkpoints_taken = 0;     ///< coca-ckpt-v1 blobs written
+  std::int64_t checkpoints_taken = 0;     ///< coca-ckpt-v2 blobs written
   double shed_lambda_total = 0.0;         ///< total shed arrival rate (req/s)
 };
 

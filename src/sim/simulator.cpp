@@ -48,7 +48,7 @@ struct Run {
       injector = std::make_unique<fault::Injector>(caller_fleet,
                                                    *options.faults,
                                                    env.slots());
-      // Crash resilience: checkpoint the controller (coca-ckpt-v1) every
+      // Crash resilience: checkpoint the controller (coca-ckpt-v2) every
       // `checkpoint_every` slots; a crash restores the last blob.
       // Controllers without checkpoint support simply keep their (uncrashed)
       // state — the crash still counts as a restart.

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "core/deficit_queue.hpp"
@@ -45,13 +46,25 @@ TEST(DeficitQueue, ResetClearsLength) {
   EXPECT_DOUBLE_EQ(q.length(), 0.0);
 }
 
-TEST(DeficitQueue, HistoryRecordsEveryUpdate) {
+TEST(DeficitQueue, LengthFollowsEveryUpdate) {
   CarbonDeficitQueue q;
   q.update(5.0, 0.0, 1.0, 0.0);
+  EXPECT_DOUBLE_EQ(q.length(), 5.0);
   q.update(5.0, 0.0, 1.0, 0.0);
-  ASSERT_EQ(q.history().size(), 2u);
-  EXPECT_DOUBLE_EQ(q.history()[0], 5.0);
-  EXPECT_DOUBLE_EQ(q.history()[1], 10.0);
+  EXPECT_DOUBLE_EQ(q.length(), 10.0);
+}
+
+TEST(DeficitQueue, RestoreRefusesNegativeAndNonFiniteLengths) {
+  CarbonDeficitQueue q;
+  q.update(7.0, 0.0, 1.0, 0.0);
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(q.restore(bad), std::invalid_argument) << bad;
+    EXPECT_EQ(q.length(), 7.0);
+  }
+  q.restore(2.5);
+  EXPECT_EQ(q.length(), 2.5);
 }
 
 TEST(DeficitQueue, RejectsBadInputs) {

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/deficit_queue.hpp"
 #include "energy/budget.hpp"
+#include "obs/metrics.hpp"
 #include "sim/scenario.hpp"
 
 namespace coca::core {
@@ -83,17 +85,24 @@ TEST(RecPolicy, LedgerAndSpendConsistent) {
   const double price = 0.004;
   DynamicRecCocaController controller(
       s.fleet, base_config(s, 1.0, 0.0), flat_market(150, price));
+  obs::Registry registry;
+  const obs::GlobalRegistryScope registry_scope(&registry);
+  std::int64_t buying_slots = 0;
   for (std::size_t t = 0; t < 150; ++t) {
     const opt::SlotInput input{s.env.workload[t], s.env.onsite_kw[t],
                                s.env.price[t]};
     const auto plan = controller.plan(t, input);
+    const double purchased_before = controller.total_purchased_kwh();
     controller.observe(t, plan.outcome, s.env.offsite_kwh[t]);
+    if (controller.total_purchased_kwh() > purchased_before) ++buying_slots;
   }
   // Everything purchased is retired; spend = purchased * flat price.
   EXPECT_DOUBLE_EQ(controller.ledger().balance(), 0.0);
   EXPECT_NEAR(controller.total_spend(),
               controller.total_purchased_kwh() * price, 1e-9);
-  EXPECT_EQ(controller.purchase_history().size(), 150u);
+  // Every slot that grew the ledger counted exactly one purchase.
+  EXPECT_GT(buying_slots, 0);
+  EXPECT_EQ(registry.counter_value("rec.purchases"), buying_slots);
 }
 
 TEST(RecPolicy, PurchasesReplaceUpfrontBlockForNeutrality) {

@@ -156,10 +156,15 @@ TEST(ServerTypes, DegradedCopySharesItsBaselinesTables) {
       {.total_servers = 8'000, .group_count = 8, .generations = 4});
   const auto degraded =
       degraded_fleet(fleet, {0, 500, 1'000, 0, 0, 0, 999, 0});
-  // One tables object, not an equal copy; only the counts are the copy's.
+  // One tables object and one spec per group, not equal copies; only the
+  // counts are the copy's.
+  const auto twice = degraded_fleet(degraded, {1, 1, 0, 1, 1, 1, 1, 1});
   EXPECT_EQ(&degraded.tables(), &fleet.tables());
-  EXPECT_EQ(&degraded_fleet(degraded, {1, 1, 0, 1, 1, 1, 1, 1}).tables(),
-            &fleet.tables());
+  EXPECT_EQ(&twice.tables(), &fleet.tables());
+  for (std::size_t g = 0; g < fleet.group_count(); ++g) {
+    EXPECT_EQ(&degraded.group(g).spec(), &fleet.group(g).spec()) << g;
+    EXPECT_EQ(&twice.group(g).spec(), &fleet.group(g).spec()) << g;
+  }
   EXPECT_EQ(degraded.server_counts()[1], 500.0);
   EXPECT_EQ(fleet.server_counts()[1], 1'000.0);
   // A fleet built from the same groups builds its own.

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "energy/budget.hpp"
@@ -36,6 +38,23 @@ TEST(RecLedger, RetireUpToClamps) {
   EXPECT_DOUBLE_EQ(ledger.retire_up_to(25.0), 10.0);
   EXPECT_DOUBLE_EQ(ledger.balance(), 0.0);
   EXPECT_DOUBLE_EQ(ledger.retire_up_to(5.0), 0.0);
+}
+
+TEST(RecLedger, RestoreRefusesInvalidTotalsAndKeepsItsState) {
+  RecLedger ledger(10.0);
+  ledger.retire(4.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> bad[] = {
+      {nan, 0.0}, {5.0, nan}, {inf, 1.0}, {inf, inf}, {3.0, 4.0}, {5.0, -1.0}};
+  for (const auto& [purchased, retired] : bad) {
+    EXPECT_THROW(ledger.restore(purchased, retired), std::invalid_argument)
+        << purchased << " / " << retired;
+    EXPECT_EQ(ledger.purchased_total(), 10.0);
+    EXPECT_EQ(ledger.retired_total(), 4.0);
+  }
+  ledger.restore(6.0, 6.0);
+  EXPECT_EQ(ledger.balance(), 0.0);
 }
 
 TEST(CarbonAccount, NeutralityCheck) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -303,6 +304,8 @@ core::CocaConfig failure_coca_config(const sim::Scenario& scenario) {
 struct FailureRun {
   double cost = 0.0;
   std::size_t infeasible = 0;
+  std::vector<double> brown_kwh;  ///< billed brown energy of each observed slot
+  std::vector<double> queue_kwh;  ///< the controller's q right after it
 };
 
 /// Runs `controller` for 200 slots: groups 0 and 1 fail at t = 100
@@ -339,6 +342,8 @@ FailureRun run_failure_and_repair(
     }
     run.cost += plan.outcome.total_cost;
     controller.observe(t, plan.outcome, scenario.env.offsite_kwh[t]);
+    run.brown_kwh.push_back(plan.outcome.brown_kwh);
+    run.queue_kwh.push_back(controller.diagnostic_queue_length());
   }
   return run;
 }
@@ -361,7 +366,18 @@ TEST(Failures, CocaSurvivesMidRunCapacityLoss) {
       });
   EXPECT_EQ(run.infeasible, 0u);
   EXPECT_GT(run.cost, 0.0);
-  EXPECT_GT(controller.queue().history().size(), 150u);
+  // Every slot's billed outcome reached the queue, in order: replaying the
+  // 200 observations through Eq. 17 gives the controller's q after each.
+  ASSERT_EQ(run.queue_kwh.size(), 200u);
+  core::CarbonDeficitQueue replay;
+  double peak_q = 0.0;
+  for (std::size_t t = 0; t < 200; ++t) {
+    replay.update(run.brown_kwh[t], scenario.env.offsite_kwh[t],
+                  coca_config.alpha, coca_config.rec_per_slot);
+    EXPECT_EQ(run.queue_kwh[t], replay.length()) << "slot " << t;
+    peak_q = std::max(peak_q, replay.length());
+  }
+  EXPECT_GT(peak_q, 0.0);
 
   // The other ladder-driven controllers follow the fleet the same way.
   core::RecMarketConfig market{

@@ -1,7 +1,7 @@
-// coca-ckpt-v1 checkpoint/restore (core/checkpoint.hpp): queue round-trips,
-// crash/restart through the simulator under static and dynamic REC policies
-// (cadence 1 = bit-identical, cadence k = exact rollback semantics), and
-// rejection of corrupt or mismatched blobs.
+// coca-ckpt-v2 checkpoint/restore (core/checkpoint.hpp): queue round-trips,
+// constant blob size, crash/restart through the simulator under static and
+// dynamic REC policies (cadence 1 = bit-identical, cadence k = exact
+// rollback semantics), and rejection of corrupt or mismatched blobs.
 
 #include <gtest/gtest.h>
 
@@ -87,7 +87,6 @@ TEST(Checkpoint, QueueStateRoundTripsBitwise) {
   core::CocaController restored(fleet, coca_config());
   restored.restore(blob);
   EXPECT_EQ(restored.queue().length(), source.queue().length());  // bitwise
-  EXPECT_EQ(restored.queue().history(), source.queue().history());
 
   // Restore-then-run: both controllers agree bitwise from here on.
   for (std::size_t t = 7; t < 12; ++t) {
@@ -127,7 +126,64 @@ TEST(Checkpoint, DynamicRecStateRoundTripsBitwise) {
   EXPECT_EQ(restored.total_spend(), source.total_spend());
   EXPECT_EQ(restored.total_purchased_kwh(), source.total_purchased_kwh());
   EXPECT_EQ(restored.ledger().retired_total(), source.ledger().retired_total());
-  EXPECT_EQ(restored.purchase_history(), source.purchase_history());
+}
+
+// A blob holds the controller's cross-slot state, never a per-slot record:
+// after 3000 observed slots it is as short as after one, and restoring it
+// still continues the run bit for bit.
+template <typename Controller>
+void expect_constant_size_blob_continues_the_run(Controller& source,
+                                                 Controller& restored) {
+  constexpr std::size_t kObserved = 3000;
+  for (std::size_t t = 0; t < kObserved; ++t) {
+    (void)source.plan(t, {100.0, 0.0, 0.05});
+    opt::SlotOutcome billed;
+    billed.brown_kwh = 3.0 + 0.5 * static_cast<double>(t % 5);
+    billed.feasible = true;
+    source.observe(t, billed, 0.9);
+  }
+  ASSERT_GT(source.diagnostic_queue_length(), 0.0);
+  const std::string blob = source.checkpoint(kObserved);
+  EXPECT_LT(blob.size(), 256u) << blob;
+
+  restored.restore(blob);
+  EXPECT_EQ(restored.diagnostic_queue_length(),
+            source.diagnostic_queue_length());
+  for (std::size_t t = kObserved; t < kObserved + 8; ++t) {
+    const opt::SlotInput input{110.0 + static_cast<double>(t % 3), 0.0, 0.04};
+    const auto a = source.plan(t, input);
+    const auto b = restored.plan(t, input);
+    ASSERT_EQ(a.alloc.size(), b.alloc.size());
+    for (std::size_t g = 0; g < a.alloc.size(); ++g) {
+      EXPECT_EQ(a.alloc[g].level, b.alloc[g].level);
+      EXPECT_EQ(a.alloc[g].active, b.alloc[g].active);
+      EXPECT_EQ(a.alloc[g].load, b.alloc[g].load);
+    }
+    EXPECT_EQ(a.outcome.total_cost, b.outcome.total_cost);
+    source.observe(t, a.outcome, 0.5);
+    restored.observe(t, b.outcome, 0.5);
+    EXPECT_EQ(source.diagnostic_queue_length(),
+              restored.diagnostic_queue_length());
+  }
+}
+
+TEST(Checkpoint, BlobSizeDoesNotGrowWithSlots) {
+  const dc::Fleet fleet = dc::make_homogeneous_fleet(2, 8);
+  {
+    core::CocaController source(fleet, coca_config());
+    core::CocaController restored(fleet, coca_config());
+    expect_constant_size_blob_continues_the_run(source, restored);
+  }
+  {
+    constexpr std::size_t kMarketSlots = 3100;
+    core::DynamicRecCocaController source(fleet, coca_config(),
+                                          market_config(kMarketSlots));
+    core::DynamicRecCocaController restored(fleet, coca_config(),
+                                            market_config(kMarketSlots));
+    expect_constant_size_blob_continues_the_run(source, restored);
+    EXPECT_GT(source.total_purchased_kwh(), 0.0);
+    EXPECT_EQ(restored.total_spend(), source.total_spend());
+  }
 }
 
 TEST(Checkpoint, RejectsCorruptAndMismatchedBlobs) {
@@ -137,7 +193,13 @@ TEST(Checkpoint, RejectsCorruptAndMismatchedBlobs) {
   EXPECT_THROW(controller.restore("{}"), std::runtime_error);
   EXPECT_THROW(
       controller.restore(
-          R"({"schema":"coca-ckpt-v0","controller":"COCA","slot":0,"queue":{"q":0,"history":[]}})"),
+          R"({"schema":"coca-ckpt-v0","controller":"COCA","slot":0,"queue":{"q":0}})"),
+      std::runtime_error);
+  // A v1 blob (it carried the whole q history) is refused: blobs never
+  // leave the process that wrote them, so only the current schema is read.
+  EXPECT_THROW(
+      controller.restore(
+          R"({"schema":"coca-ckpt-v1","controller":"COCA","slot":2,"queue":{"q":4,"history":[3,4]}})"),
       std::runtime_error);
 
   // A blob from a different controller type is refused.
@@ -147,32 +209,27 @@ TEST(Checkpoint, RejectsCorruptAndMismatchedBlobs) {
   // Invalid restored state (negative queue) is refused by the queue itself.
   EXPECT_THROW(
       controller.restore(
-          R"({"schema":"coca-ckpt-v1","controller":"COCA","slot":0,"queue":{"q":-1,"history":[]}})"),
+          R"({"schema":"coca-ckpt-v2","controller":"COCA","slot":0,"queue":{"q":-1}})"),
       std::invalid_argument);
+  EXPECT_EQ(controller.queue().length(), 0.0);
 
-  // A negative REC spend or purchase is refused before any state changes.
-  const auto dynamic_blob = [](const char* q, const char* spend,
-                               const char* purchases) {
+  // A negative REC spend is refused before any state changes.
+  const auto dynamic_blob = [](const char* q, const char* spend) {
     std::string blob =
-        R"({"schema":"coca-ckpt-v1","controller":"COCA+dynamic-RECs",)";
+        R"({"schema":"coca-ckpt-v2","controller":"COCA+dynamic-RECs",)";
     blob += R"("slot":2,"queue":{"q":)";
     blob += q;
-    blob += R"(,"history":[]},"ledger":{"purchased":3,"retired":3},"spend":)";
+    blob += R"(},"ledger":{"purchased":3,"retired":3},"spend":)";
     blob += spend;
-    blob += R"(,"purchases":[)";
-    blob += purchases;
-    blob += "]}";
+    blob += "}";
     return blob;
   };
-  other.restore(dynamic_blob("5", "0.25", "1,2"));
-  ASSERT_EQ(other.purchase_history().size(), 2u);
-  EXPECT_THROW(other.restore(dynamic_blob("7", "-0.5", "1,2")),
-               std::invalid_argument);
-  EXPECT_THROW(other.restore(dynamic_blob("7", "0.25", "1,-2")),
+  other.restore(dynamic_blob("5", "0.25"));
+  EXPECT_THROW(other.restore(dynamic_blob("7", "-0.5")),
                std::invalid_argument);
   EXPECT_EQ(other.queue_length(), 5.0);
   EXPECT_EQ(other.total_spend(), 0.25);
-  EXPECT_EQ(other.purchase_history(), (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(other.total_purchased_kwh(), 3.0);
 }
 
 // --- Crash/restart through the simulator ---

@@ -1,15 +1,21 @@
 // Tests for the deterministic fault schedule (fault/schedule.hpp) and its
 // resolved per-slot view (fault::Injector): validation, seeded generation,
 // per-group stream independence, and event -> lookup-table resolution with
-// degraded-fleet caching.
+// degraded-fleet caching (checked against a full per-slot scan on seeded
+// random schedules).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <stdexcept>
+#include <vector>
 
 #include "dc/fleet.hpp"
 #include "fault/injector.hpp"
 #include "fault/schedule.hpp"
+#include "util/rng.hpp"
 
 namespace coca {
 namespace {
@@ -252,6 +258,118 @@ TEST(FaultInjector, ResolvesStalenessDeadlinesAndCrashes) {
   EXPECT_FALSE(injector.crash_before(2));
   EXPECT_TRUE(injector.crash_before(3));
   EXPECT_TRUE(injector.has_crashes());
+}
+
+// Outage resolution by plain full scan, the oracle for the injector's
+// sweep: every outage is tested against every slot.  Configurations are
+// numbered by first appearance; `failed[i - 1]` is configuration i's
+// failed-per-group vector.
+struct FullScan {
+  std::vector<std::size_t> index;  ///< per slot; 0 = baseline
+  std::vector<std::vector<std::size_t>> failed;
+};
+
+FullScan full_scan(const dc::Fleet& fleet, const Schedule& schedule,
+                   std::size_t slots) {
+  FullScan scan;
+  scan.index.assign(slots, 0);
+  for (std::size_t t = 0; t < slots; ++t) {
+    std::vector<double> fraction(fleet.group_count(), 0.0);
+    bool any = false;
+    for (const auto& ev : schedule.outages) {
+      if (ev.begin <= t && t < ev.end) {
+        fraction[ev.group] = std::max(fraction[ev.group], ev.fraction);
+        any = true;
+      }
+    }
+    if (!any) continue;
+    std::vector<std::size_t> failed(fleet.group_count());
+    for (std::size_t g = 0; g < fleet.group_count(); ++g) {
+      const auto servers = fleet.group(g).server_count();
+      failed[g] = std::min(
+          servers, static_cast<std::size_t>(std::llround(
+                       fraction[g] * static_cast<double>(servers))));
+    }
+    auto seen = std::find(scan.failed.begin(), scan.failed.end(), failed);
+    if (seen == scan.failed.end()) {
+      scan.failed.push_back(failed);
+      seen = scan.failed.end() - 1;
+    }
+    scan.index[t] = static_cast<std::size_t>(seen - scan.failed.begin()) + 1;
+  }
+  return scan;
+}
+
+/// Seeded outages that pile up the sweep's edge cases: every drawn outage
+/// brings one of a nested outage on its group, an outage of another group
+/// with the same begin, a one-slot outage, or one that runs to the horizon.
+Schedule random_outages(util::Rng& rng, std::size_t groups, std::size_t slots) {
+  const double fractions[] = {0.05, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0};
+  Schedule schedule;
+  const auto add = [&](std::size_t group, std::size_t begin, std::size_t end) {
+    schedule.outages.push_back(
+        {.group = group,
+         .begin = begin,
+         .end = end,
+         .fraction = fractions[rng.uniform_index(std::size(fractions))]});
+  };
+  const std::size_t count = 2 + rng.uniform_index(10);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t group = rng.uniform_index(groups);
+    const std::size_t begin = rng.uniform_index(slots);
+    const std::size_t end = begin + 1 + rng.uniform_index(slots - begin);
+    add(group, begin, end);
+    switch (rng.uniform_index(4)) {
+      case 0:
+        if (end - begin > 2) add(group, begin + 1, end - 1);
+        break;
+      case 1:
+        add(rng.uniform_index(groups), begin,
+            begin + 1 + rng.uniform_index(slots - begin));
+        break;
+      case 2:
+        add(group, end - 1, end);
+        break;
+      default:
+        add(rng.uniform_index(groups), begin, slots);
+        break;
+    }
+  }
+  return schedule;
+}
+
+TEST(FaultInjector, SweepMatchesFullScanOnRandomSchedules) {
+  // Two hardware generations and group sizes from 1 to 16 servers, so small
+  // fractions round to zero failed servers on some groups and not others.
+  const dc::ServerSpec newer = dc::ServerSpec::opteron2380();
+  const dc::ServerSpec older = newer.scaled("older", 0.8, 1.1);
+  const std::size_t sizes[] = {1, 3, 7, 10, 16};
+  std::vector<dc::ServerGroup> groups;
+  for (const std::size_t servers : sizes) {
+    groups.emplace_back(groups.size() % 2 == 0 ? newer : older, servers);
+  }
+  const dc::Fleet fleet(std::move(groups));
+  constexpr std::size_t kSlots = 48;
+  util::Rng rng(0xC0CA);
+  for (int trial = 0; trial < 80; ++trial) {
+    const Schedule schedule = random_outages(rng, fleet.group_count(), kSlots);
+    const Injector injector(fleet, schedule, kSlots);
+    const FullScan scan = full_scan(fleet, schedule, kSlots);
+    ASSERT_EQ(injector.distinct_fleets(), scan.failed.size() + 1) << trial;
+    for (std::size_t t = 0; t < kSlots; ++t) {
+      const std::size_t index = scan.index[t];
+      ASSERT_EQ(injector.fleet_index_at(t), index)
+          << "trial " << trial << " slot " << t;
+      EXPECT_EQ(injector.degraded_at(t), index != 0);
+      const dc::Fleet& live = injector.fleet_at(t);
+      for (std::size_t g = 0; g < fleet.group_count(); ++g) {
+        const std::size_t failed = index == 0 ? 0 : scan.failed[index - 1][g];
+        EXPECT_EQ(live.group(g).server_count(),
+                  fleet.group(g).server_count() - failed)
+            << "trial " << trial << " slot " << t << " group " << g;
+      }
+    }
+  }
 }
 
 TEST(FaultInjector, ValidatesScheduleAgainstFleetAndHorizon) {
