@@ -8,12 +8,18 @@ namespace coca::core {
 units::KiloWattHours CarbonDeficitQueue::update(
     units::KiloWattHours brown, units::KiloWattHours offsite, double alpha,
     units::KiloWattHours rec_per_slot) {
-  if (brown.value() < 0.0 || offsite.value() < 0.0 ||  // UNITS: sign check
-      rec_per_slot.value() < 0.0) {  // UNITS: sign check on raw magnitude
-    throw std::invalid_argument("CarbonDeficitQueue::update: negative input");
+  // A NaN would pass a sign check and [.]^+ would turn it into q = 0,
+  // silently erasing the deficit; an infinity would make q unrestorable.
+  for (const units::KiloWattHours energy : {brown, offsite, rec_per_slot}) {
+    const double kwh = energy.value();  // UNITS: finiteness/sign check
+    if (!std::isfinite(kwh) || kwh < 0.0) {
+      throw std::invalid_argument(
+          "CarbonDeficitQueue::update: energies must be finite and >= 0");
+    }
   }
-  if (alpha <= 0.0) {
-    throw std::invalid_argument("CarbonDeficitQueue::update: alpha must be > 0");
+  if (!std::isfinite(alpha) || alpha <= 0.0) {
+    throw std::invalid_argument(
+        "CarbonDeficitQueue::update: alpha must be finite and > 0");
   }
   // Eq. 17: q(t+1) = [ q(t) + y(t) - alpha*(f(t) + z(t)) ]^+ — all kWh.
   // alpha multiplies *both* offsets here and nowhere else (the Eq. 10

@@ -35,7 +35,9 @@ class CarbonDeficitQueue {
   /// `rec_per_slot` = z(t) — both offsets in unscaled kWh; this update
   /// multiplies the *sum* of them by `alpha`.  Every term of Eq. 17 is
   /// energy — the typed signature makes a power-for-energy mixup (kW where
-  /// kWh belongs) a compile error.  Returns the new queue length.
+  /// kWh belongs) a compile error.  Returns the new queue length.  Throws
+  /// std::invalid_argument, leaving the queue unchanged, on a negative or
+  /// non-finite energy or an alpha that is not finite and > 0.
   units::KiloWattHours update(units::KiloWattHours brown,
                               units::KiloWattHours offsite, double alpha,
                               units::KiloWattHours rec_per_slot);

@@ -20,68 +20,103 @@ constexpr double kTiny = 1e-12;  // matches load_balancer.cpp
 // keeps the speculative divide on unselected lanes well defined.
 constexpr double kDenomFloor = std::numeric_limits<double>::min();
 
-/// SoA lanes for the active classes of one solve: the reference's class list
-/// element for element, plus the invariants of the current linear solve.
+/// Marks a table slot that no entry of the current lane build holds.
+constexpr std::size_t kNoEntry = std::numeric_limits<std::size_t>::max();
+
+/// SoA lanes for the active classes of one solve, in two sets.  The
+/// per-group lanes are the reference's class list element for element.  The
+/// per-entry lanes hold one entry for each distinct (server type, level)
+/// among the active groups: every group of a type reads bitwise-equal tables
+/// (dc::FleetTables), so its best response at any price is its entry's bits.
 struct Lanes {
+  // Per active group.
   std::vector<std::size_t> group;
+  std::vector<std::size_t> entry;  ///< index into the per-entry lanes
+  std::vector<double> active;
+  std::vector<double> load;
+  std::vector<std::size_t> order;  ///< greedy_fill scratch
+  // Per entry.
+  std::vector<std::size_t> key;  ///< the type's first-group table slot
   std::vector<double> rate;
   std::vector<double> slope;   ///< pue * dynamic slope
-  std::vector<double> active;
   std::vector<double> cap;     ///< gamma * rate
   std::vector<double> denom;   ///< rate * (1 - gamma)^2, for the bracket
   // Per-linear-solve invariants (depend on mu and V*beta).
   std::vector<double> ms;   ///< mu * slope
   std::vector<double> thr;  ///< activation threshold mu*c + V*beta/x
   std::vector<double> vbr;  ///< V*beta * x
-  std::vector<double> hib;  ///< per-class upper bracket bound
+  std::vector<double> hib;  ///< per-entry upper bracket bound
   std::vector<double> resp;
-  std::vector<double> load;
-  std::vector<std::size_t> order;  ///< greedy_fill scratch
+  /// Table slot -> entry index, kNoEntry between builds: a build resets
+  /// exactly the slots it set (`key`), so it costs O(active groups) on any
+  /// fleet and the next solve, whatever its fleet, starts from a clean map.
+  std::vector<std::size_t> slot_entry;
   /// The reference's in-order active*cap capacity, reused by every
   /// feasibility gate of the solve so the predicate sees one set of bits.
   double capacity = 0.0;
 };
 
 /// The calling thread's lanes, rebuilt at the start of every solve (like the
-/// span stack in obs/span.cpp): a thread runs one solve at a time.
-Lanes& build_lanes(const dc::Fleet& fleet, const dc::Allocation& alloc,
+/// span stack in obs/span.cpp): a thread runs one solve at a time.  Returns
+/// nullptr when an active group lies outside the fleet or its level outside
+/// the group's ladder: the caller then defers to the reference, which
+/// throws its own error.
+Lanes* build_lanes(const dc::Fleet& fleet, const dc::Allocation& alloc,
                    const SlotWeights& weights) {
   thread_local Lanes lanes;
   const dc::FleetTables& tables = fleet.tables();
+  if (alloc.size() > fleet.group_count()) return nullptr;
+  if (lanes.slot_entry.size() < tables.rate.size()) {
+    lanes.slot_entry.resize(tables.rate.size(), kNoEntry);
+  }
   const double one_minus_gamma = 1.0 - weights.gamma;
-  lanes.group.clear();
-  lanes.rate.clear();
-  lanes.slope.clear();
-  lanes.active.clear();
-  lanes.cap.clear();
-  lanes.denom.clear();
+  for (auto* v : {&lanes.group, &lanes.entry, &lanes.key}) v->clear();
+  for (auto* v : {&lanes.active, &lanes.rate, &lanes.slope, &lanes.cap,
+                  &lanes.denom}) {
+    v->clear();
+  }
+  bool in_ladder = true;
   for (std::size_t g = 0; g < alloc.size(); ++g) {
     if (alloc[g].active <= kTiny) continue;
-    const std::size_t slot = tables.level_offset[g] + alloc[g].level;
-    const double rate = tables.rate[slot];
-    // Identical expressions to active_classes() and the reference bracket.
+    const std::size_t level = alloc[g].level;
+    if (level >= tables.level_offset[g + 1] - tables.level_offset[g]) {
+      in_ladder = false;
+      break;
+    }
+    const std::size_t first = tables.type_group[tables.group_type[g]];
+    const std::size_t slot = tables.level_offset[first] + level;
+    std::size_t& e = lanes.slot_entry[slot];
+    if (e == kNoEntry) {
+      // Identical expressions to active_classes() and the reference bracket.
+      const double rate = tables.rate[slot];
+      e = lanes.key.size();
+      lanes.key.push_back(slot);
+      lanes.rate.push_back(rate);
+      lanes.slope.push_back(weights.pue * tables.dynamic_slope[slot]);
+      lanes.cap.push_back(weights.gamma * rate);
+      lanes.denom.push_back(rate * one_minus_gamma * one_minus_gamma);
+    }
     lanes.group.push_back(g);
-    lanes.rate.push_back(rate);
-    lanes.slope.push_back(weights.pue * tables.dynamic_slope[slot]);
+    lanes.entry.push_back(e);
     lanes.active.push_back(alloc[g].active);
-    lanes.cap.push_back(weights.gamma * rate);
-    lanes.denom.push_back(rate * one_minus_gamma * one_minus_gamma);
+  }
+  for (const std::size_t slot : lanes.key) lanes.slot_entry[slot] = kNoEntry;
+  if (!in_ladder) return nullptr;
+  for (auto* v : {&lanes.ms, &lanes.thr, &lanes.vbr, &lanes.hib, &lanes.resp}) {
+    v->resize(lanes.key.size());
   }
   const std::size_t n = lanes.group.size();
-  for (auto* v : {&lanes.ms, &lanes.thr, &lanes.vbr, &lanes.hib, &lanes.resp,
-                  &lanes.load}) {
-    v->resize(n);
-  }
+  lanes.load.resize(n);
   double capacity = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    capacity += lanes.active[i] * lanes.cap[i];
+    capacity += lanes.active[i] * lanes.cap[lanes.entry[i]];
   }
   lanes.capacity = capacity;
-  return lanes;
+  return &lanes;
 }
 
 double supply_gap(Lanes& lanes, double nu, double lambda) {
-  const std::size_t n = lanes.group.size();
+  const std::size_t m = lanes.key.size();
   const double* ms = lanes.ms.data();
   const double* thr = lanes.thr.data();
   const double* vbr = lanes.vbr.data();
@@ -89,26 +124,30 @@ double supply_gap(Lanes& lanes, double nu, double lambda) {
   const double* cap = lanes.cap.data();
   double* resp = lanes.resp.data();
   // Element-wise best response a(nu) = clamp(x - sqrt(V*beta*x/(nu - mu*c)),
-  // 0, gamma*x) over contiguous arrays: no branches in the loop body, so the
-  // divide/sqrt vectorize; the select reproduces the reference's threshold
-  // branch bit-for-bit (unselected lanes are exactly 0).
-  for (std::size_t i = 0; i < n; ++i) {
-    const double denom = std::max(nu - ms[i], kDenomFloor);
-    double a = rate[i] - std::sqrt(vbr[i] / denom);
-    a = std::min(std::max(a, 0.0), cap[i]);
-    resp[i] = nu > thr[i] ? a : 0.0;
+  // 0, gamma*x), once per entry over contiguous arrays: no branches in the
+  // loop body, so the divide/sqrt vectorize; the select reproduces the
+  // reference's threshold branch bit-for-bit (unselected lanes are exactly 0).
+  for (std::size_t e = 0; e < m; ++e) {
+    const double denom = std::max(nu - ms[e], kDenomFloor);
+    double a = rate[e] - std::sqrt(vbr[e] / denom);
+    a = std::min(std::max(a, 0.0), cap[e]);
+    resp[e] = nu > thr[e] ? a : 0.0;
   }
-  // The market-clearing sum stays a scalar in-order reduction: FP addition
-  // is not associative and the reference accumulates in class order.
-  double total = 0.0;
+  // The market-clearing sum stays a scalar in-order reduction over the
+  // groups: FP addition is not associative and the reference accumulates in
+  // class order.
+  const std::size_t n = lanes.group.size();
   const double* active = lanes.active.data();
-  for (std::size_t i = 0; i < n; ++i) total += active[i] * resp[i];
+  const std::size_t* entry = lanes.entry.data();
+  double total = 0.0;
+  for (std::size_t i = 0; i < n; ++i) total += active[i] * resp[entry[i]];
   return total - lambda;
 }
 
 void settle_residual(Lanes& lanes, double lambda) {
   // Mirrors the reference settle_residual pass-for-pass.
   const std::size_t n = lanes.group.size();
+  const std::vector<std::size_t>& entry = lanes.entry;
   std::vector<double>& load = lanes.load;
   for (int pass = 0; pass < 4; ++pass) {
     double total = 0.0;
@@ -118,11 +157,11 @@ void settle_residual(Lanes& lanes, double lambda) {
     if (residual > 0.0) {
       double headroom = 0.0;
       for (std::size_t i = 0; i < n; ++i) {
-        headroom += lanes.active[i] * lanes.cap[i] - load[i];
+        headroom += lanes.active[i] * lanes.cap[entry[i]] - load[i];
       }
       if (headroom <= kTiny) return;
       for (std::size_t i = 0; i < n; ++i) {
-        const double room = lanes.active[i] * lanes.cap[i] - load[i];
+        const double room = lanes.active[i] * lanes.cap[entry[i]] - load[i];
         load[i] += residual * room / headroom;
       }
     } else {
@@ -133,17 +172,19 @@ void settle_residual(Lanes& lanes, double lambda) {
 }
 
 void greedy_fill(Lanes& lanes, double lambda, double mu) {
-  // The lanes are the reference's class list element-for-element, so the
-  // (unstable) sort produces the identical permutation and fill order.
+  // The group lanes are the reference's class list element-for-element and
+  // read their entry's bits, so the (unstable) sort produces the identical
+  // permutation and fill order.
+  const std::vector<std::size_t>& entry = lanes.entry;
   std::vector<std::size_t>& order = lanes.order;
   order.resize(lanes.group.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return mu * lanes.slope[a] < mu * lanes.slope[b];
+    return mu * lanes.slope[entry[a]] < mu * lanes.slope[entry[b]];
   });
   double remaining = lambda;
   for (std::size_t idx : order) {
-    const double cap = lanes.active[idx] * lanes.cap[idx];
+    const double cap = lanes.active[idx] * lanes.cap[entry[idx]];
     const double take = std::min(cap, remaining);
     lanes.load[idx] = take;
     remaining -= take;
@@ -169,20 +210,22 @@ double solve_linear(Lanes& lanes, dc::Allocation& alloc, double lambda,
     greedy_fill(lanes, lambda, mu);
   } else {
     // Invariants of this linear solve, hoisted out of the bisection: they
-    // depend only on (class tables, mu, V*beta).  The bracket bounds are
-    // then a divide-free min/max scan; min/max are order-insensitive, so
-    // the scan is bit-identical to the reference's fused loop.
-    for (std::size_t i = 0; i < n; ++i) {
-      lanes.ms[i] = mu * lanes.slope[i];
-      lanes.thr[i] = lanes.ms[i] + v_beta / lanes.rate[i];
-      lanes.vbr[i] = v_beta * lanes.rate[i];
-      lanes.hib[i] = lanes.ms[i] + v_beta / lanes.denom[i];
+    // depend only on (entry tables, mu, V*beta).  The bracket bounds are
+    // then a divide-free min/max scan over the entries; min/max are exact in
+    // any order and over repeated values, so the scan is bit-identical to
+    // the reference's fused per-class loop.
+    const std::size_t m = lanes.key.size();
+    for (std::size_t e = 0; e < m; ++e) {
+      lanes.ms[e] = mu * lanes.slope[e];
+      lanes.thr[e] = lanes.ms[e] + v_beta / lanes.rate[e];
+      lanes.vbr[e] = v_beta * lanes.rate[e];
+      lanes.hib[e] = lanes.ms[e] + v_beta / lanes.denom[e];
     }
     double lo = std::numeric_limits<double>::infinity();
     double hi = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      lo = std::min(lo, lanes.thr[i]);
-      hi = std::max(hi, lanes.hib[i]);
+    for (std::size_t e = 0; e < m; ++e) {
+      lo = std::min(lo, lanes.thr[e]);
+      hi = std::max(hi, lanes.hib[e]);
     }
     hi = hi * (1.0 + 1e-9) + kTiny;
     util::BisectionOptions options;
@@ -195,7 +238,7 @@ double solve_linear(Lanes& lanes, dc::Allocation& alloc, double lambda,
     // load pass does.
     supply_gap(lanes, nu, lambda);
     for (std::size_t i = 0; i < n; ++i) {
-      lanes.load[i] = lanes.active[i] * lanes.resp[i];
+      lanes.load[i] = lanes.active[i] * lanes.resp[lanes.entry[i]];
     }
   }
   settle_residual(lanes, lambda);
@@ -333,7 +376,9 @@ LoadBalanceResult solve_load_lp(const dc::Fleet& fleet, dc::Allocation& alloc,
   // One lane build covers the whole solve: the allocation's levels and
   // active counts are fixed until we return, so every regime (and each mu
   // iterate of the boundary bisection) re-clears the same classes.
-  Lanes& lanes = build_lanes(fleet, alloc, weights);
+  Lanes* built = build_lanes(fleet, alloc, weights);
+  if (built == nullptr) return balance_loads(fleet, alloc, input, weights);
+  Lanes& lanes = *built;
   // Reference-order regime sequence: identical decisions, brackets and
   // tolerances to balance_loads().
   LoadBalanceResult result;
@@ -399,8 +444,11 @@ LoadBalanceResult solve_load_lp(const dc::Fleet& fleet, dc::Allocation& alloc,
 double solve_load_lp_linear(const dc::Fleet& fleet, dc::Allocation& alloc,
                             double lambda, double mu,
                             const SlotWeights& weights) {
-  return solve_linear(build_lanes(fleet, alloc, weights), alloc, lambda, mu,
-                      weights);
+  Lanes* lanes = build_lanes(fleet, alloc, weights);
+  if (lanes == nullptr) {
+    return balance_loads_linear(fleet, alloc, lambda, mu, weights);
+  }
+  return solve_linear(*lanes, alloc, lambda, mu, weights);
 }
 
 }  // namespace coca::opt

@@ -11,17 +11,25 @@
 //     per fleet and shared by its degraded copies), scaled by the weights'
 //     pue and gamma where used;
 //   * SoA (structure-of-arrays) lanes for the active classes, a private
-//     thread-local scratch rebuilt at the start of every solve, so the
-//     clamp/sqrt best response evaluates element-wise over contiguous arrays
-//     and vectorizes;
+//     thread-local scratch rebuilt at the start of every solve, in two sets:
+//     per-group lanes (group, entry index, active count) and per-entry
+//     lanes, one entry for each distinct (server type, level) among the
+//     active groups (rate, pue-scaled slope, gamma cap, bracket denominator
+//     and the per-linear-solve invariants and response).  The clamp/sqrt
+//     best response evaluates once per entry, element-wise over contiguous
+//     arrays, and vectorizes; the market-clearing sum reads each group's
+//     entry in group order;
 //   * table-driven replicas of `evaluate` / `allocation_facility_kw` for the
 //     regime checks and the returned outcome.
 //
 // Every result is bit-for-bit identical to the reference `balance_loads`:
 // the canonical bracket, tolerances, regime order and iteration order are
-// preserved; only the memory layout and the hoisted invariants (identical
-// expressions, evaluated once per linear solve) differ.  A solve depends
-// only on its arguments, never on earlier solves.
+// preserved; only the memory layout, the hoisted invariants (identical
+// expressions, evaluated once per linear solve) and the shared per-entry
+// responses (groups of a type read bitwise-equal tables) differ.  A solve
+// depends only on its arguments, never on earlier solves.  An allocation
+// with an active group outside the fleet or a level outside its group's
+// ladder is handed to the reference, which throws its own error.
 //
 // Every kinked solve is wrapped in one `load_lp` span, so span counts are a
 // pure function of the solve sequence, preserving the repo-wide determinism

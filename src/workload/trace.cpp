@@ -1,6 +1,7 @@
 #include "workload/trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,10 +12,15 @@ namespace coca::workload {
 
 Trace::Trace(std::string name, std::vector<double> values, double slot_hours)
     : name_(std::move(name)), values_(std::move(values)), slot_hours_(slot_hours) {
-  if (slot_hours_ <= 0.0) {
-    throw std::invalid_argument("Trace: slot_hours must be positive");
+  if (!std::isfinite(slot_hours_) || slot_hours_ <= 0.0) {
+    throw std::invalid_argument("Trace: slot_hours must be finite and positive");
   }
+  // util::parse_csv reads a malformed cell as NaN: refuse it here, with
+  // infinities, before it can reach lambda(t).
   for (double v : values_) {
+    if (!std::isfinite(v)) {
+      throw std::invalid_argument("Trace: non-finite value in " + name_);
+    }
     if (v < 0.0) throw std::invalid_argument("Trace: negative value in " + name_);
   }
 }

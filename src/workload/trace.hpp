@@ -17,6 +17,8 @@ namespace coca::workload {
 class Trace {
  public:
   Trace() = default;
+  /// Throws std::invalid_argument on a negative or non-finite value, or a
+  /// slot length that is not finite and positive.
   Trace(std::string name, std::vector<double> values, double slot_hours = 1.0);
 
   const std::string& name() const { return name_; }
@@ -46,7 +48,7 @@ class Trace {
   /// Serialize as two-column CSV (slot, value).
   std::string to_csv() const;
   /// Parse from two-column CSV produced by to_csv (or any CSV whose second
-  /// column is the value).
+  /// column is the value).  A malformed value cell throws, as NaN does.
   static Trace from_csv(std::string_view text, std::string name,
                         double slot_hours = 1.0);
 

@@ -73,6 +73,19 @@ TEST(DeficitQueue, RejectsBadInputs) {
   EXPECT_THROW(q.update(1.0, -1.0, 1.0, 0.0), std::invalid_argument);
   EXPECT_THROW(q.update(1.0, 0.0, 0.0, 0.0), std::invalid_argument);
   EXPECT_THROW(q.update(1.0, 0.0, 1.0, -1.0), std::invalid_argument);
+  // Non-finite inputs: [.]^+ would turn a NaN into q = 0 and erase the
+  // deficit, and an infinite q could not be checkpointed.  Each is refused
+  // and leaves q as it was.
+  q.update(5.0, 0.0, 1.0, 0.0);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf}) {
+    EXPECT_THROW(q.update(bad, 0.0, 1.0, 0.0), std::invalid_argument) << bad;
+    EXPECT_THROW(q.update(1.0, bad, 1.0, 0.0), std::invalid_argument) << bad;
+    EXPECT_THROW(q.update(1.0, 0.0, bad, 0.0), std::invalid_argument) << bad;
+    EXPECT_THROW(q.update(1.0, 0.0, 1.0, bad), std::invalid_argument) << bad;
+    EXPECT_EQ(q.length(), 5.0) << bad;
+  }
 }
 
 TEST(DeficitQueue, QueueBoundImpliesConstraintSlack) {

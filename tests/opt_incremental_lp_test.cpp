@@ -3,12 +3,16 @@
 //
 // The contract under test: solve_load_lp must be *bit-for-bit* identical to
 // the reference balance_loads — nu, regime, effective price, every load and
-// the full SlotOutcome breakdown — across randomized fleets, weights
-// (including a pue that changes between solves), lambdas and thousands of
-// GSD-style single-group flip sequences, including forced regime flips
-// across the [p - r]^+ kink and infeasible-capacity transitions; no solve
-// may see an earlier one through the thread's scratch lanes; and the fleet
-// tables the solves read, scaled by pue, are the specs' expressions.
+// the full SlotOutcome breakdown — across randomized fleets (mostly groups
+// drawn from a few shared specs, so groups share a server type and a type
+// runs at several levels in one solve; some all-distinct; and degraded
+// copies), weights (including a pue that changes between solves), lambdas
+// and thousands of GSD-style single-group flip sequences, including forced
+// regime flips across the [p - r]^+ kink and infeasible-capacity
+// transitions; no solve may see an earlier one, on any fleet, through the
+// thread's scratch lanes; an out-of-ladder level throws as the reference
+// does; and the fleet tables the solves read, scaled by pue, are the specs'
+// expressions.
 //
 // All randomness is seeded through util::Rng (see tools/lint_determinism.py):
 // every run of this binary executes the exact same solve sequence.
@@ -17,10 +21,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "dc/fleet.hpp"
@@ -30,18 +38,71 @@
 namespace coca::opt {
 namespace {
 
+/// A random fleet of 1-8 groups.  Three in four draw their groups from a
+/// pool of 1-3 scaled specs, with differing server counts, so several groups
+/// share a server type and one type can run at several levels in one solve;
+/// the rest give every group its own scaled spec (one type per group).
 dc::Fleet random_fleet(util::Rng& rng) {
-  const std::size_t group_count = 1 + rng.uniform_index(5);
+  const std::size_t group_count = 1 + rng.uniform_index(8);
+  const bool distinct = rng.bernoulli(0.25);
+  const std::size_t spec_count = distinct ? group_count : 1 + rng.uniform_index(3);
   const auto reference = dc::ServerSpec::opteron2380();
-  std::vector<dc::ServerGroup> groups;
-  for (std::size_t g = 0; g < group_count; ++g) {
+  std::vector<dc::ServerSpec> pool;
+  for (std::size_t s = 0; s < spec_count; ++s) {
     const double speed = rng.uniform(0.6, 1.3);
     const double power = rng.uniform(0.8, 1.3);
+    pool.push_back(reference.scaled("gen" + std::to_string(s), speed, power));
+  }
+  std::vector<dc::ServerGroup> groups;
+  for (std::size_t g = 0; g < group_count; ++g) {
+    const std::size_t s = distinct ? g : rng.uniform_index(spec_count);
     const std::size_t servers = 1 + rng.uniform_index(10);
-    groups.emplace_back(
-        reference.scaled("gen" + std::to_string(g), speed, power), servers);
+    groups.emplace_back(pool[s], servers);
   }
   return dc::Fleet(std::move(groups));
+}
+
+/// A degraded copy of `fleet` with a random number of failed servers per
+/// group (whole groups may fail): it shares the fleet's tables and types.
+dc::Fleet random_degraded(util::Rng& rng, const dc::Fleet& fleet) {
+  std::vector<std::size_t> failed(fleet.group_count());
+  for (std::size_t g = 0; g < failed.size(); ++g) {
+    failed[g] = rng.uniform_index(fleet.group(g).server_count() + 1);
+  }
+  return dc::degraded_fleet(fleet, failed);
+}
+
+/// `alloc` with every active count capped at `fleet`'s server count.
+dc::Allocation clamp_to(const dc::Fleet& fleet, dc::Allocation alloc) {
+  for (std::size_t g = 0; g < alloc.size(); ++g) {
+    alloc[g].active = std::min(alloc[g].active, fleet.server_counts()[g]);
+  }
+  return alloc;
+}
+
+/// How a solve's active groups share the load LP's per-(type, level)
+/// entries: whether two groups read one entry, and whether one type runs at
+/// two levels.
+struct Sharing {
+  bool shared_entry = false;
+  bool type_at_two_levels = false;
+};
+
+Sharing sharing(const dc::Fleet& fleet, const dc::Allocation& alloc) {
+  const dc::FleetTables& tables = fleet.tables();
+  std::set<std::pair<std::size_t, std::size_t>> entries;
+  std::set<std::size_t> types;
+  Sharing out;
+  for (std::size_t g = 0; g < alloc.size(); ++g) {
+    if (alloc[g].active <= 1e-12) continue;
+    const std::size_t type = tables.group_type[g];
+    if (!entries.insert({type, alloc[g].level}).second) {
+      out.shared_entry = true;
+    } else if (!types.insert(type).second) {
+      out.type_at_two_levels = true;
+    }
+  }
+  return out;
 }
 
 SlotWeights random_weights(util::Rng& rng) {
@@ -114,13 +175,34 @@ void expect_bit_identical(const LoadBalanceResult& ref,
   }
 }
 
+/// Solves `state` with the reference and with the engine, expects the two
+/// bit-identical, and returns the reference's result.
+LoadBalanceResult expect_solve_bit_identical(const dc::Fleet& fleet,
+                                             const dc::Allocation& state,
+                                             const SlotInput& input,
+                                             const SlotWeights& w,
+                                             const std::string& where) {
+  dc::Allocation ref_alloc = state;
+  dc::Allocation inc_alloc = state;
+  const auto ref = balance_loads(fleet, ref_alloc, input, w);
+  const auto inc = solve_load_lp(fleet, inc_alloc, input, w);
+  expect_bit_identical(ref, inc, ref_alloc, inc_alloc, where);
+  return ref;
+}
+
 // --- headline property: bit-exactness over randomized flip sequences ------
 
 TEST(IncrementalLp, BitExactOverThousandRandomFlipSequences) {
   util::Rng rng(20260808);
   int sequences = 0;
+  int shared_entry_solves = 0;
+  int two_level_solves = 0;
   for (int scenario = 0; scenario < 60; ++scenario) {
     const auto fleet = random_fleet(rng);
+    // Every other scenario also solves each flip on a degraded copy, which
+    // shares the fleet's tables but not its server counts.
+    const bool degrade = scenario % 2 == 1;
+    const auto degraded = random_degraded(rng, fleet);
     const auto weights = random_weights(rng);
     const double capacity =
         dc::capped_capacity(fleet, full_alloc(fleet), weights.gamma);
@@ -144,24 +226,48 @@ TEST(IncrementalLp, BitExactOverThousandRandomFlipSequences) {
       // follow each solve's weights.
       SlotWeights w = weights;
       if (flip % 2 == 1) w.pue = weights.pue + 0.25;
-      dc::Allocation ref_alloc = state;
-      dc::Allocation inc_alloc = state;
-      const auto ref = balance_loads(fleet, ref_alloc, input, w);
-      const auto inc = solve_load_lp(fleet, inc_alloc, input, w);
-      expect_bit_identical(ref, inc, ref_alloc, inc_alloc,
-                           "scenario " + std::to_string(scenario) + " flip " +
-                               std::to_string(flip));
+      const std::string where = "scenario " + std::to_string(scenario) +
+                                " flip " + std::to_string(flip);
+      expect_solve_bit_identical(fleet, state, input, w, where);
+      if (degrade) {
+        expect_solve_bit_identical(degraded, clamp_to(degraded, state), input,
+                                   w, where + " degraded");
+      }
+      const Sharing shared = sharing(fleet, state);
+      shared_entry_solves += shared.shared_entry ? 1 : 0;
+      two_level_solves += shared.type_at_two_levels ? 1 : 0;
       ++sequences;
       gsd_flip(rng, fleet, state);
     }
   }
-  EXPECT_GE(sequences, 1000);  // the issue's floor for the property harness
+  EXPECT_GE(sequences, 1000);  // the property harness's floor
+  // The per-(type, level) entries are only exercised if groups share them
+  // and a type runs at two levels in one solve.
+  EXPECT_GE(shared_entry_solves, 300);
+  EXPECT_GE(two_level_solves, 300);
+}
+
+void expect_linear_bit_identical(const dc::Fleet& fleet,
+                                 const dc::Allocation& state, double lambda,
+                                 double mu, const SlotWeights& weights,
+                                 const std::string& where) {
+  dc::Allocation ref_alloc = state;
+  dc::Allocation inc_alloc = state;
+  const double ref_nu =
+      balance_loads_linear(fleet, ref_alloc, lambda, mu, weights);
+  const double inc_nu =
+      solve_load_lp_linear(fleet, inc_alloc, lambda, mu, weights);
+  EXPECT_EQ(ref_nu, inc_nu) << where;
+  for (std::size_t g = 0; g < ref_alloc.size(); ++g) {
+    EXPECT_EQ(ref_alloc[g].load, inc_alloc[g].load) << where << " group " << g;
+  }
 }
 
 TEST(IncrementalLp, SolveLinearBitExactIncludingGreedyAndInfeasible) {
   util::Rng rng(77);
   for (int scenario = 0; scenario < 40; ++scenario) {
     const auto fleet = random_fleet(rng);
+    const auto degraded = random_degraded(rng, fleet);
     auto weights = random_weights(rng);
     if (scenario % 4 == 0) weights.beta = 0.0;  // greedy merit-order path
     const double capacity =
@@ -170,16 +276,12 @@ TEST(IncrementalLp, SolveLinearBitExactIncludingGreedyAndInfeasible) {
     const double mu = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 2.0);
     dc::Allocation state = full_alloc(fleet);
     for (int flip = 0; flip < 10; ++flip) {
-      dc::Allocation ref_alloc = state;
-      dc::Allocation inc_alloc = state;
-      const double ref_nu =
-          balance_loads_linear(fleet, ref_alloc, lambda, mu, weights);
-      const double inc_nu =
-          solve_load_lp_linear(fleet, inc_alloc, lambda, mu, weights);
-      EXPECT_EQ(ref_nu, inc_nu) << "scenario " << scenario << " flip " << flip;
-      for (std::size_t g = 0; g < ref_alloc.size(); ++g) {
-        EXPECT_EQ(ref_alloc[g].load, inc_alloc[g].load)
-            << "scenario " << scenario << " flip " << flip << " group " << g;
+      const std::string where = "scenario " + std::to_string(scenario) +
+                                " flip " + std::to_string(flip);
+      expect_linear_bit_identical(fleet, state, lambda, mu, weights, where);
+      if (scenario % 2 == 1) {
+        expect_linear_bit_identical(degraded, clamp_to(degraded, state), lambda,
+                                    mu, weights, where + " degraded");
       }
       gsd_flip(rng, fleet, state);
     }
@@ -339,6 +441,127 @@ TEST(IncrementalLp, FreshContextReproducesWarmContextBitForBit) {
     fresh = solve_load_lp(fleet, fresh_alloc, input, weights);
   }).join();
   expect_bit_identical(fresh, warm, fresh_alloc, warm_alloc, "fresh vs warm");
+}
+
+TEST(IncrementalLp, InterleavedFleetsOfDifferentTableSizesStayBitExact) {
+  // One thread's scratch serves every fleet the thread solves: solves that
+  // alternate between fleets whose tables differ in size, and so address
+  // different stretches of the slot->entry map, each match the reference.
+  util::Rng rng(31337);
+  const dc::Fleet fleet200 = dc::make_default_fleet();
+  dc::FleetConfig config40;
+  config40.group_count = 40;
+  const dc::Fleet fleet40 = dc::make_default_fleet(config40);
+  const auto reference = dc::ServerSpec::opteron2380();
+  std::vector<dc::ServerGroup> groups;
+  for (std::size_t g = 0; g < 7; ++g) {  // one type per group
+    const double step = static_cast<double>(g);
+    groups.emplace_back(reference.scaled("gen" + std::to_string(g),
+                                         0.7 + 0.05 * step, 0.9 + 0.04 * step),
+                        3 + g);
+  }
+  const dc::Fleet distinct7(std::move(groups));
+  const dc::Fleet degraded = random_degraded(rng, fleet200);
+  const std::vector<const dc::Fleet*> fleets = {&fleet200, &fleet40,
+                                                &distinct7, &degraded};
+  ASSERT_EQ(distinct7.tables().type_group.size(), 7u);
+
+  SlotWeights w;
+  w.V = 5.0;
+  w.q = 0.5;
+  w.beta = 0.01;
+  w.gamma = 0.9;
+  std::vector<dc::Allocation> states;
+  std::vector<SlotInput> inputs;
+  for (const dc::Fleet* fleet : fleets) {
+    states.push_back(clamp_to(*fleet, full_alloc(*fleet)));
+    const double capacity = dc::capped_capacity(*fleet, states.back(), w.gamma);
+    SlotInput input{rng.uniform(0.2, 0.8) * capacity, 0.0, 0.06};
+    // On-site supply around the full fleet's regime-A power, so the solves
+    // land on different kink branches.
+    auto probe = states.back();
+    balance_loads(*fleet, probe, input, w);
+    input.onsite_kw = rng.uniform(0.5, 1.2) *
+                      allocation_facility_kw(*fleet, probe, w.pue);
+    inputs.push_back(input);
+  }
+  std::set<int> regimes_seen;
+  for (int round = 0; round < 8; ++round) {
+    for (std::size_t k = 0; k < fleets.size(); ++k) {
+      // Odd rounds visit the fleets in reverse order.
+      const std::size_t f = round % 2 == 0 ? k : fleets.size() - 1 - k;
+      const dc::Fleet& fleet = *fleets[f];
+      const auto ref = expect_solve_bit_identical(
+          fleet, states[f], inputs[f], w,
+          "round " + std::to_string(round) + " fleet " + std::to_string(f));
+      if (ref.feasible) regimes_seen.insert(static_cast<int>(ref.regime));
+      gsd_flip(rng, fleet, states[f]);
+      states[f] = clamp_to(fleet, states[f]);
+    }
+  }
+  EXPECT_GE(regimes_seen.size(), 2u);
+}
+
+/// The exception a call throws, as "<type>: <what>", or "" when it returns.
+template <typename Call>
+std::string thrown_by(Call call) {
+  try {
+    call();
+  } catch (const std::exception& e) {
+    return std::string(typeid(e).name()) + ": " + e.what();
+  }
+  return "";
+}
+
+TEST(IncrementalLp, OutOfLadderLevelThrowsLikeTheReference) {
+  // An active group whose level lies outside its ladder must not index the
+  // fleet tables: both entry points hand the allocation to the reference,
+  // which throws its own error.  A middle group and the last group (whose
+  // bad level would read past the end of the tables) are each covered, and
+  // so is an active group beyond the fleet.
+  dc::FleetConfig config;
+  config.group_count = 8;
+  const dc::Fleet fleet = dc::make_default_fleet(config);
+  SlotWeights w;
+  w.V = 1.0;
+  w.beta = 0.01;
+  w.gamma = 0.9;
+  const SlotInput input{0.3 * fleet.max_capacity(), 0.0, 0.06};
+  std::vector<std::pair<std::string, dc::Allocation>> cases;
+  for (const std::size_t bad : {std::size_t{3}, std::size_t{7}}) {
+    dc::Allocation alloc = full_alloc(fleet);
+    alloc[bad].level = 7;
+    cases.emplace_back("level 7 at group " + std::to_string(bad), alloc);
+  }
+  dc::Allocation extra = full_alloc(fleet);
+  extra.push_back(extra.back());
+  cases.emplace_back("a ninth active group", extra);
+  for (const auto& [where, alloc] : cases) {
+    auto ref_alloc = alloc;
+    EXPECT_THROW(balance_loads(fleet, ref_alloc, input, w), std::out_of_range)
+        << where;
+    EXPECT_EQ(thrown_by([&] {
+                auto a = alloc;
+                solve_load_lp(fleet, a, input, w);
+              }),
+              thrown_by([&] {
+                auto a = alloc;
+                balance_loads(fleet, a, input, w);
+              }))
+        << where;
+    EXPECT_THROW(balance_loads_linear(fleet, ref_alloc, input.lambda, 0.5, w),
+                 std::out_of_range)
+        << where;
+    EXPECT_EQ(thrown_by([&] {
+                auto a = alloc;
+                solve_load_lp_linear(fleet, a, input.lambda, 0.5, w);
+              }),
+              thrown_by([&] {
+                auto a = alloc;
+                balance_loads_linear(fleet, a, input.lambda, 0.5, w);
+              }))
+        << where;
+  }
 }
 
 TEST(ServerTypes, TablesFollowPueAndKeepLaterSolvesExact) {

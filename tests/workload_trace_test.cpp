@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace coca::workload {
@@ -24,6 +25,12 @@ TEST(Trace, BasicAccessors) {
 TEST(Trace, RejectsNegativeValuesAndBadSlot) {
   EXPECT_THROW(Trace("bad", {1.0, -0.1}), std::invalid_argument);
   EXPECT_THROW(Trace("bad", {1.0}, 0.0), std::invalid_argument);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf}) {
+    EXPECT_THROW(Trace("bad", {1.0, bad}), std::invalid_argument) << bad;
+    EXPECT_THROW(Trace("bad", {1.0}, bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Trace, NormalizedPeaksAtOne) {
@@ -78,6 +85,18 @@ TEST(Trace, CsvRoundTrip) {
 
 TEST(Trace, FromCsvRequiresTwoColumns) {
   EXPECT_THROW(Trace::from_csv("only\n1\n", "x"), std::invalid_argument);
+}
+
+TEST(Trace, FromCsvRejectsMalformedAndInfiniteCells) {
+  // util::parse_csv reads a malformed cell as NaN; neither it nor an
+  // infinity may reach lambda(t).
+  EXPECT_THROW(Trace::from_csv("slot,value\n0,100\n1,abc\n", "x"),
+               std::invalid_argument);
+  EXPECT_THROW(Trace::from_csv("slot,value\n0,100\n1,inf\n", "x"),
+               std::invalid_argument);
+  EXPECT_THROW(Trace::from_csv("slot,value\n0,100\n1,abc\n2,inf\n", "x"),
+               std::invalid_argument);
+  EXPECT_EQ(Trace::from_csv("slot,value\n0,100\n1,5\n", "x").total(), 105.0);
 }
 
 TEST(Trace, EmptyTraceBehaviour) {
