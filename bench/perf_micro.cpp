@@ -24,6 +24,7 @@
 #include "core/deficit_queue.hpp"
 #include "des/job_source.hpp"
 #include "obs/bench_report.hpp"
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "opt/gsd.hpp"
 #include "opt/ladder_solver.hpp"
@@ -315,6 +316,22 @@ void add_load_lp_regression(obs::BenchReport& report) {
     total_ms += inc_ms;
   }
 
+  // One more, untimed replay with a registry installed: the load LP's
+  // per-solve counters, pinned as deterministic metas, show the per-(type,
+  // level) sharing and the certified clearing at work.
+  obs::Registry registry;
+  {
+    const obs::GlobalRegistryScope scope(&registry);
+    for (const auto& candidate : chain) {
+      auto alloc = candidate;
+      opt::solve_load_lp(scenario.fleet, alloc, input, weights);
+    }
+  }
+  const auto per_solve = [&](const char* counter) {
+    return static_cast<double>(registry.counter_value(counter)) /
+           static_cast<double>(chain.size());
+  };
+
   obs::BenchResult result;
   result.name = "load_lp_regression";
   result.wall_s = total_ms / 1e3;
@@ -331,6 +348,10 @@ void add_load_lp_regression(obs::BenchReport& report) {
   result.meta["speedup_vs_reference"] =
       incremental_ms > 0.0 ? reference_ms / incremental_ms : 0.0;
   result.meta["bit_identical"] = mismatches == 0 ? 1.0 : 0.0;
+  result.meta["entries_per_solve"] = per_solve("load_lp.entries");
+  result.meta["gap_evaluations_per_solve"] =
+      per_solve("load_lp.gap_evaluations");
+  result.meta["exact_sums_per_solve"] = per_solve("load_lp.exact_sums");
   report.add(result);
 
   std::cout << "-- load_lp regression: " << chain.size()
@@ -340,7 +361,11 @@ void add_load_lp_regression(obs::BenchReport& report) {
             << "   incremental: " << incremental_ms << " ms ("
             << result.meta["speedup_vs_reference"]
             << "x, bit-identical: " << (mismatches == 0 ? "yes" : "NO")
-            << ")\n\n";
+            << ")\n"
+            << "   per solve  : " << result.meta["entries_per_solve"]
+            << " entries, " << result.meta["gap_evaluations_per_solve"]
+            << " gap evaluations, " << result.meta["exact_sums_per_solve"]
+            << " in-order sums\n\n";
 }
 
 /// Per-stage span profile of a short GSD-engine run: where a COCA slot

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace coca::dc {
 
@@ -107,9 +108,15 @@ double capped_capacity(const Fleet& fleet, const Allocation& alloc,
   if (alloc.size() != fleet.group_count()) {
     throw std::invalid_argument("capped_capacity: allocation size mismatch");
   }
+  const FleetTables& tables = fleet.tables();
   double cap = 0.0;
   for (std::size_t g = 0; g < alloc.size(); ++g) {
-    const double rate = fleet.group(g).spec().level(alloc[g].level).service_rate;
+    const std::size_t first = tables.level_offset[g];
+    if (alloc[g].level >= tables.level_offset[g + 1] - first) {
+      throw std::out_of_range("capped_capacity: group " + std::to_string(g) +
+                              " level outside its ladder");
+    }
+    const double rate = tables.rate[first + alloc[g].level];
     cap += gamma * rate * alloc[g].active;
   }
   return cap;

@@ -73,7 +73,9 @@ bool allocation_feasible(const Fleet& fleet, const Allocation& alloc,
                          double gamma, std::string* why = nullptr);
 
 /// Serving capacity of an allocation under the utilization cap:
-/// sum_g gamma * x_g * active_g (req/s).
+/// sum_g gamma * x_g * active_g (req/s), in group order, with x_g read from
+/// the fleet tables.  Throws std::invalid_argument on a size mismatch and
+/// std::out_of_range for a level outside its group's ladder.
 double capped_capacity(const Fleet& fleet, const Allocation& alloc, double gamma);
 
 }  // namespace coca::dc

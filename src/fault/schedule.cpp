@@ -19,7 +19,9 @@ namespace {
 
 void Schedule::validate(std::size_t group_count, std::size_t slots) const {
   if (checkpoint_every == 0) bad("checkpoint_every must be >= 1");
-  if (shed_jobs_per_rps < 0.0) bad("shed_jobs_per_rps must be >= 0");
+  if (!std::isfinite(shed_jobs_per_rps) || shed_jobs_per_rps < 0.0) {
+    bad("shed_jobs_per_rps must be finite and >= 0");
+  }
   for (const auto& ev : outages) {
     if (ev.group >= group_count) {
       bad("outage group " + std::to_string(ev.group) + " out of range");
@@ -47,11 +49,13 @@ void Schedule::validate(std::size_t group_count, std::size_t slots) const {
 
 Schedule Schedule::generate(const Profile& profile, std::size_t group_count,
                             std::size_t slots) {
-  if (profile.outage_rate < 0.0 || profile.outage_rate > 1.0) {
+  if (!(profile.outage_rate >= 0.0 && profile.outage_rate <= 1.0)) {
     bad("generate: outage_rate must be in [0, 1]");
   }
-  if (profile.mean_outage_slots <= 0.0) {
-    bad("generate: mean_outage_slots must be > 0");
+  // +inf is refused too: llround of an infinite draw is unspecified.
+  if (!std::isfinite(profile.mean_outage_slots) ||
+      profile.mean_outage_slots <= 0.0) {
+    bad("generate: mean_outage_slots must be finite and > 0");
   }
   if (!(profile.outage_fraction > 0.0) || profile.outage_fraction > 1.0) {
     bad("generate: outage_fraction must be in (0, 1]");

@@ -100,7 +100,8 @@ class Schedule {
   }
 
   /// Throws std::invalid_argument on malformed events (bad intervals,
-  /// out-of-range groups, fractions outside [0, 1], zero cadence).
+  /// out-of-range groups, fractions outside [0, 1], zero cadence) or a
+  /// negative or non-finite shed_jobs_per_rps.
   void validate(std::size_t group_count, std::size_t slots) const;
 
   /// Deterministic generation from a profile: group g's outage process draws

@@ -137,8 +137,14 @@ class Parser {
   JsonValue parse_value() {
     skip_whitespace();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // parse_object/parse_array recurse through here: bound the depth.
+      if (depth_ == kMaxJsonDepth) fail("nesting too deep");
+      ++depth_;
+      JsonValue nested = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return nested;
+    }
     if (c == '"') return JsonValue(parse_string());
     if (c == 't') {
       if (!consume_literal("true")) fail("bad literal");
@@ -259,6 +265,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 }  // namespace

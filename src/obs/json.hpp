@@ -9,6 +9,7 @@
 // enough for tests to consume BENCH_*.json and JSONL traces as written.
 // No third-party dependency: the container image is frozen.
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -65,8 +66,13 @@ class JsonValue {
       value_ = nullptr;
 };
 
+/// Deepest array/object nesting parse_json accepts.  The tree writes at
+/// most 4 levels; the cap keeps hostile input from exhausting the stack.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 /// Parse a complete JSON document; throws std::runtime_error with a byte
-/// offset on malformed input or trailing garbage.
+/// offset on malformed input, trailing garbage or nesting deeper than
+/// kMaxJsonDepth.
 JsonValue parse_json(std::string_view text);
 
 }  // namespace coca::obs

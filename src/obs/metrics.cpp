@@ -22,6 +22,14 @@ HistogramSnapshot Histogram::snapshot() const {
   return data_;
 }
 
+namespace {
+std::atomic<std::uint64_t> g_next_registry_id{1};
+std::atomic<Registry*> g_registry{nullptr};
+}  // namespace
+
+Registry::Registry()
+    : id_(g_next_registry_id.fetch_add(1, std::memory_order_relaxed)) {}
+
 Counter& Registry::counter(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto it = counters_.find(name);
@@ -87,10 +95,6 @@ std::map<std::string, HistogramSnapshot> Registry::histogram_values() const {
   }
   return out;
 }
-
-namespace {
-std::atomic<Registry*> g_registry{nullptr};
-}  // namespace
 
 Registry* global() { return g_registry.load(std::memory_order_acquire); }
 

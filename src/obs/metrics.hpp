@@ -92,12 +92,20 @@ class Histogram {
 
 class Registry {
  public:
+  Registry();
+
   /// Find-or-create by name.  Returned references stay valid for the
   /// registry's lifetime (instruments are heap-pinned), so hot paths can
   /// resolve once and cache.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
+
+  /// Never 0 and distinct for every registry the process constructs, so a
+  /// hot path's cache of resolved instruments, keyed on the installed
+  /// registry's id, cannot mistake a new registry at a reused address for
+  /// the one it resolved them in.
+  std::uint64_t id() const { return id_; }
 
   /// Convenience for tests: current value of a counter (0 if absent).
   std::int64_t counter_value(std::string_view name) const;
@@ -111,6 +119,7 @@ class Registry {
   std::map<std::string, HistogramSnapshot> histogram_values() const;
 
  private:
+  const std::uint64_t id_;
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
       GUARDED_BY(mutex_);

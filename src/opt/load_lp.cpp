@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/solvers.hpp"
 
@@ -37,6 +40,7 @@ struct Lanes {
   std::vector<std::size_t> order;  ///< greedy_fill scratch
   // Per entry.
   std::vector<std::size_t> key;  ///< the type's first-group table slot
+  std::vector<double> weight;    ///< in-order sum of its groups' active counts
   std::vector<double> rate;
   std::vector<double> slope;   ///< pue * dynamic slope
   std::vector<double> cap;     ///< gamma * rate
@@ -54,6 +58,9 @@ struct Lanes {
   /// The reference's in-order active*cap capacity, reused by every
   /// feasibility gate of the solve so the predicate sees one set of bits.
   double capacity = 0.0;
+  // Tallies of the solve, for the `load_lp.*` counters.
+  std::int64_t gap_evaluations = 0;
+  std::int64_t exact_sums = 0;  ///< gap evaluations that summed in group order
 };
 
 /// The calling thread's lanes, rebuilt at the start of every solve (like the
@@ -71,8 +78,8 @@ Lanes* build_lanes(const dc::Fleet& fleet, const dc::Allocation& alloc,
   }
   const double one_minus_gamma = 1.0 - weights.gamma;
   for (auto* v : {&lanes.group, &lanes.entry, &lanes.key}) v->clear();
-  for (auto* v : {&lanes.active, &lanes.rate, &lanes.slope, &lanes.cap,
-                  &lanes.denom}) {
+  for (auto* v : {&lanes.active, &lanes.weight, &lanes.rate, &lanes.slope,
+                  &lanes.cap, &lanes.denom}) {
     v->clear();
   }
   bool in_ladder = true;
@@ -91,6 +98,7 @@ Lanes* build_lanes(const dc::Fleet& fleet, const dc::Allocation& alloc,
       const double rate = tables.rate[slot];
       e = lanes.key.size();
       lanes.key.push_back(slot);
+      lanes.weight.push_back(0.0);
       lanes.rate.push_back(rate);
       lanes.slope.push_back(weights.pue * tables.dynamic_slope[slot]);
       lanes.cap.push_back(weights.gamma * rate);
@@ -99,6 +107,7 @@ Lanes* build_lanes(const dc::Fleet& fleet, const dc::Allocation& alloc,
     lanes.group.push_back(g);
     lanes.entry.push_back(e);
     lanes.active.push_back(alloc[g].active);
+    lanes.weight[e] += alloc[g].active;
   }
   for (const std::size_t slot : lanes.key) lanes.slot_entry[slot] = kNoEntry;
   if (!in_ladder) return nullptr;
@@ -112,10 +121,13 @@ Lanes* build_lanes(const dc::Fleet& fleet, const dc::Allocation& alloc,
     capacity += lanes.active[i] * lanes.cap[lanes.entry[i]];
   }
   lanes.capacity = capacity;
+  lanes.gap_evaluations = 0;
+  lanes.exact_sums = 0;
   return &lanes;
 }
 
-double supply_gap(Lanes& lanes, double nu, double lambda) {
+/// Best response of every entry at price nu, into `resp`.
+void price_entries(Lanes& lanes, double nu) {
   const std::size_t m = lanes.key.size();
   const double* ms = lanes.ms.data();
   const double* thr = lanes.thr.data();
@@ -133,15 +145,26 @@ double supply_gap(Lanes& lanes, double nu, double lambda) {
     a = std::min(std::max(a, 0.0), cap[e]);
     resp[e] = nu > thr[e] ? a : 0.0;
   }
-  // The market-clearing sum stays a scalar in-order reduction over the
-  // groups: FP addition is not associative and the reference accumulates in
-  // class order.
+}
+
+/// The reference's market-clearing supply T: a scalar in-order reduction over
+/// the groups, since FP addition is not associative.
+double group_supply(const Lanes& lanes) {
   const std::size_t n = lanes.group.size();
   const double* active = lanes.active.data();
+  const double* resp = lanes.resp.data();
   const std::size_t* entry = lanes.entry.data();
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) total += active[i] * resp[entry[i]];
-  return total - lambda;
+  return total;
+}
+
+/// U = sum over entries of weight * resp: T regrouped, one term per entry.
+double entry_supply(const Lanes& lanes) {
+  const std::size_t m = lanes.key.size();
+  double total = 0.0;
+  for (std::size_t e = 0; e < m; ++e) total += lanes.weight[e] * lanes.resp[e];
+  return total;
 }
 
 void settle_residual(Lanes& lanes, double lambda) {
@@ -232,11 +255,32 @@ double solve_linear(Lanes& lanes, dc::Allocation& alloc, double lambda,
     options.x_tol = std::max(1e-14, (hi - lo) * 1e-13);
     options.f_tol = 1e-9 * std::max(1.0, lambda);
     options.max_iterations = 200;
-    auto gap = [&](double price) { return supply_gap(lanes, price, lambda); };
-    nu = util::bisect(gap, lo, hi, options).x;
+    // Certified clearing (DESIGN §4.6): bisect reads only the sign of the
+    // gap and its side of +-f_tol at a midpoint, and U decides both exactly
+    // when fl(U - lambda) clears f_tol by the rounding margin; otherwise the
+    // gap is the reference's fl(T - lambda).  NaN fails the comparison and
+    // an infinite U makes the margin infinite, so neither is ever certified.
+    // The bracket endpoints stay exact: bisect compares their magnitudes.
+    const double f_tol = options.f_tol;
+    const std::size_t terms = n + m;
+    const auto gap = [&](double price) {
+      price_entries(lanes, price);
+      ++lanes.gap_evaluations;
+      if (price != lo && price != hi) {
+        const double grouped = entry_supply(lanes);
+        const double certified = grouped - lambda;
+        if (std::abs(certified) >
+            f_tol + clearing_margin(terms, grouped, lambda, f_tol)) {
+          return certified;
+        }
+      }
+      ++lanes.exact_sums;
+      return group_supply(lanes) - lambda;
+    };
+    nu = util::bisect(std::cref(gap), lo, hi, options).x;
     // Re-evaluate the responses at the clearing price, as the reference's
     // load pass does.
-    supply_gap(lanes, nu, lambda);
+    price_entries(lanes, nu);
     for (std::size_t i = 0; i < n; ++i) {
       lanes.load[i] = lanes.active[i] * lanes.resp[lanes.entry[i]];
     }
@@ -367,20 +411,37 @@ double facility_kw_at(const dc::Fleet& fleet, const dc::Allocation& alloc,
   return weights.pue * it;
 }
 
-}  // namespace
+/// The installed registry's `load_lp.*` counters, resolved once per thread
+/// and registry: a solve then bumps them without a locked name lookup.
+struct SolveCounters {
+  std::uint64_t registry_id = 0;  ///< obs::Registry::id() is never 0
+  obs::Counter* entries = nullptr;
+  obs::Counter* gap_evaluations = nullptr;
+  obs::Counter* exact_sums = nullptr;
+};
 
-LoadBalanceResult solve_load_lp(const dc::Fleet& fleet, dc::Allocation& alloc,
-                                const SlotInput& input,
-                                const SlotWeights& weights) {
-  const obs::ScopedSpan span("load_lp");
-  // One lane build covers the whole solve: the allocation's levels and
-  // active counts are fixed until we return, so every regime (and each mu
-  // iterate of the boundary bisection) re-clears the same classes.
-  Lanes* built = build_lanes(fleet, alloc, weights);
-  if (built == nullptr) return balance_loads(fleet, alloc, input, weights);
-  Lanes& lanes = *built;
-  // Reference-order regime sequence: identical decisions, brackets and
-  // tolerances to balance_loads().
+/// Adds one solve's tallies to the installed registry's `load_lp.*`
+/// counters: the entries it priced, its gap evaluations, and the in-order
+/// group sums among them.
+void record_solve(const Lanes& lanes) {
+  obs::Registry* registry = obs::global();
+  if (registry == nullptr) return;
+  thread_local SolveCounters counters;
+  if (counters.registry_id != registry->id()) {
+    counters = {registry->id(), &registry->counter("load_lp.entries"),
+                &registry->counter("load_lp.gap_evaluations"),
+                &registry->counter("load_lp.exact_sums")};
+  }
+  counters.entries->add(static_cast<std::int64_t>(lanes.key.size()));
+  counters.gap_evaluations->add(lanes.gap_evaluations);
+  counters.exact_sums->add(lanes.exact_sums);
+}
+
+/// `balance_loads` over the built lanes: the reference-order regime
+/// sequence, with identical decisions, brackets and tolerances.
+LoadBalanceResult solve_kinked(Lanes& lanes, const dc::Fleet& fleet,
+                               dc::Allocation& alloc, const SlotInput& input,
+                               const SlotWeights& weights) {
   LoadBalanceResult result;
   const double mu_full = weights.brown_price(input.price);
 
@@ -441,6 +502,34 @@ LoadBalanceResult solve_load_lp(const dc::Fleet& fleet, dc::Allocation& alloc,
   return result;
 }
 
+}  // namespace
+
+double clearing_margin(std::size_t terms, double grouped_supply,
+                       double lambda, double f_tol) {
+  // Past 2^26 terms the factor-two slack of the derivation ((k + 2)(1 -
+  // 2ku) >= k needs k(k + 2)u <= 1) is no longer proven: never certify.
+  if (terms > (std::size_t{1} << 26)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  constexpr double kUnitRoundoff = 0x1p-53;
+  return 4.0 * static_cast<double>(terms + 2) * kUnitRoundoff *
+         (grouped_supply + std::abs(lambda) + f_tol);
+}
+
+LoadBalanceResult solve_load_lp(const dc::Fleet& fleet, dc::Allocation& alloc,
+                                const SlotInput& input,
+                                const SlotWeights& weights) {
+  const obs::ScopedSpan span("load_lp");
+  // One lane build covers the whole solve: the allocation's levels and
+  // active counts are fixed until we return, so every regime (and each mu
+  // iterate of the boundary bisection) re-clears the same classes.
+  Lanes* lanes = build_lanes(fleet, alloc, weights);
+  if (lanes == nullptr) return balance_loads(fleet, alloc, input, weights);
+  LoadBalanceResult result = solve_kinked(*lanes, fleet, alloc, input, weights);
+  record_solve(*lanes);
+  return result;
+}
+
 double solve_load_lp_linear(const dc::Fleet& fleet, dc::Allocation& alloc,
                             double lambda, double mu,
                             const SlotWeights& weights) {
@@ -448,7 +537,9 @@ double solve_load_lp_linear(const dc::Fleet& fleet, dc::Allocation& alloc,
   if (lanes == nullptr) {
     return balance_loads_linear(fleet, alloc, lambda, mu, weights);
   }
-  return solve_linear(*lanes, alloc, lambda, mu, weights);
+  const double nu = solve_linear(*lanes, alloc, lambda, mu, weights);
+  record_solve(*lanes);
+  return nu;
 }
 
 }  // namespace coca::opt

@@ -128,6 +128,34 @@ TEST_F(PowerModelTest, CappedCapacity) {
   EXPECT_NEAR(capped_capacity(fleet_, a, 0.9), 0.9 * 10.0 * 3.0, 1e-12);
 }
 
+TEST(CappedCapacity, ReadsTheTablesAsTheSpecsAndRejectsBadLevels) {
+  // The fleet tables serve the rates: the sum is the specs' expression, in
+  // group order, bit for bit; a level outside its group's ladder throws
+  // std::out_of_range (a middle group and the last one, whose bad level
+  // would read past the tables), a size mismatch std::invalid_argument.
+  FleetConfig config;
+  config.group_count = 40;
+  const Fleet fleet = make_default_fleet(config);
+  Allocation a(fleet.group_count());
+  for (std::size_t g = 0; g < a.size(); ++g) {
+    a[g].level = g % fleet.group(g).spec().level_count();
+    a[g].active = 0.37 * static_cast<double>(g + 1);
+  }
+  double expected = 0.0;
+  for (std::size_t g = 0; g < a.size(); ++g) {
+    const double rate = fleet.group(g).spec().level(a[g].level).service_rate;
+    expected += 0.9 * rate * a[g].active;
+  }
+  EXPECT_EQ(capped_capacity(fleet, a, 0.9), expected);
+  for (const std::size_t bad : {std::size_t{17}, a.size() - 1}) {
+    Allocation b = a;
+    b[bad].level = fleet.group(bad).spec().level_count();
+    EXPECT_THROW(capped_capacity(fleet, b, 0.9), std::out_of_range);
+  }
+  Allocation short_alloc(a.size() - 1);
+  EXPECT_THROW(capped_capacity(fleet, short_alloc, 0.9), std::invalid_argument);
+}
+
 // --- server types: the ladder's per-type market clearing ------------------
 
 std::vector<std::size_t> types_of(const Fleet& fleet) {

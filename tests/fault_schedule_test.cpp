@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -81,6 +82,12 @@ TEST(FaultSchedule, ValidatesStalenessDeadlinesCrashesAndKnobs) {
   schedule.checkpoint_every = 4;
   schedule.shed_jobs_per_rps = -1.0;
   EXPECT_THROW(schedule.validate(2, 10), std::invalid_argument);
+  // NaN passed the `< 0` check and billed a NaN total cost.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    schedule.shed_jobs_per_rps = bad;
+    EXPECT_THROW(schedule.validate(2, 10), std::invalid_argument) << bad;
+  }
   schedule.shed_jobs_per_rps = 2.0;
   EXPECT_NO_THROW(schedule.validate(2, 10));
 }
@@ -176,6 +183,24 @@ TEST(FaultScheduleGenerate, RejectsMalformedProfiles) {
   profile.mean_outage_slots = 5.0;
   profile.outage_fraction = 0.0;
   EXPECT_THROW(Schedule::generate(profile, 2, 10), std::invalid_argument);
+  profile.outage_fraction = 1.0;
+  // Non-finite knobs passed the comparisons: a NaN rate gave no outages and
+  // a NaN mean one-slot outages; an infinite mean reaches llround(inf).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double rate : {kNaN, kInf, -kInf}) {
+    Profile bad = profile;
+    bad.outage_rate = rate;
+    EXPECT_THROW(Schedule::generate(bad, 2, 10), std::invalid_argument)
+        << rate;
+  }
+  for (const double mean : {kNaN, kInf, -kInf}) {
+    Profile bad = profile;
+    bad.mean_outage_slots = mean;
+    EXPECT_THROW(Schedule::generate(bad, 2, 10), std::invalid_argument)
+        << mean;
+  }
+  EXPECT_NO_THROW(Schedule::generate(profile, 2, 10));
 }
 
 // --- Injector resolution ---

@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -59,6 +62,21 @@ TEST(ObsMetrics, RegistryFindOrCreateIsStable) {
   a.add(7);
   EXPECT_EQ(registry.counter_value("x"), 7);
   EXPECT_EQ(registry.counter_value("never-created"), 0);
+}
+
+TEST(ObsMetrics, RegistryIdsAreNeverReused) {
+  // A cache of resolved instruments keys on the installed registry's id:
+  // a registry built where a destroyed one lived must not share its id.
+  std::optional<Registry> slot;
+  slot.emplace();
+  const Registry* address = &*slot;
+  const std::uint64_t first = slot->id();
+  slot.reset();
+  slot.emplace();
+  ASSERT_EQ(&*slot, address);
+  EXPECT_NE(slot->id(), first);
+  EXPECT_NE(first, 0u);
+  EXPECT_NE(slot->id(), 0u);
 }
 
 TEST(ObsMetrics, HelpersAreNoOpsWithoutGlobalRegistry) {
@@ -145,6 +163,33 @@ TEST(ObsJson, ParseRejectsMalformedInput) {
   EXPECT_THROW(parse_json("[1,]"), std::runtime_error);
   EXPECT_THROW(parse_json("{} trailing"), std::runtime_error);
   EXPECT_THROW(parse_json(""), std::runtime_error);
+}
+
+TEST(ObsJson, ParseBoundsNestingDepth) {
+  // Arrays and objects nest through one recursion, so a deep document must
+  // throw, not overflow the stack: the limit parses, one more level throws,
+  // and so do 10^5 open brackets (which crashed the unbounded parser).
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const auto objects = [](std::size_t depth) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += R"({"k":)";
+    return text + "0" + std::string(depth, '}');
+  };
+  const JsonValue doc = parse_json(arrays(kMaxJsonDepth));
+  std::size_t depth = 1;
+  for (const JsonValue* v = &doc; !v->as_array().empty();
+       v = &v->as_array()[0]) {
+    ++depth;
+  }
+  EXPECT_EQ(depth, kMaxJsonDepth);
+  EXPECT_NO_THROW(parse_json(objects(kMaxJsonDepth)));
+  EXPECT_THROW(parse_json(arrays(kMaxJsonDepth + 1)), std::runtime_error);
+  EXPECT_THROW(parse_json(objects(kMaxJsonDepth + 1)), std::runtime_error);
+  EXPECT_THROW(parse_json("[" + objects(kMaxJsonDepth) + "]"),
+               std::runtime_error);
+  EXPECT_THROW(parse_json(std::string(100000, '[')), std::runtime_error);
 }
 
 TEST(ObsTrace, JsonLineHasFixedKeyOrderAndParses) {

@@ -12,7 +12,9 @@
 // transitions; no solve may see an earlier one, on any fleet, through the
 // thread's scratch lanes; an out-of-ladder level throws as the reference
 // does; and the fleet tables the solves read, scaled by pue, are the specs'
-// expressions.
+// expressions.  The certified market clearing is checked on its own: its
+// rounding margin covers crafted worst-case sums, large fleets of a few
+// entries stay bit-exact, and a GSD chain certifies most bisection steps.
 //
 // All randomness is seeded through util::Rng (see tools/lint_determinism.py):
 // every run of this binary executes the exact same solve sequence.
@@ -23,6 +25,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -32,6 +36,8 @@
 #include <vector>
 
 #include "dc/fleet.hpp"
+#include "obs/metrics.hpp"
+#include "opt/gsd.hpp"
 #include "opt/load_balancer.hpp"
 #include "util/rng.hpp"
 
@@ -562,6 +568,212 @@ TEST(IncrementalLp, OutOfLadderLevelThrowsLikeTheReference) {
               }))
         << where;
   }
+}
+
+// --- certified market clearing ---------------------------------------------
+
+/// One entry's supply terms: the active counts of its groups, in group
+/// order, and the entry's response r.
+struct EntryTerms {
+  std::vector<double> active;
+  double r = 0.0;
+};
+
+/// The clearing's two supply sums over `terms`, as the solver forms them: T
+/// in group order over the products active[i] * r, and U = W * r with W the
+/// in-order sum of the active counts.
+struct SupplySums {
+  double in_order = 0.0;
+  double grouped = 0.0;
+};
+
+SupplySums supply_sums(const EntryTerms& terms) {
+  SupplySums sums;
+  double weight = 0.0;
+  for (const double a : terms.active) {
+    sums.in_order += a * terms.r;
+    weight += a;
+  }
+  sums.grouped = weight * terms.r;
+  return sums;
+}
+
+/// One large active count followed by n - 1 small ones, crafted so every
+/// addition of the two sums rounds the worst way and the two err in opposite
+/// directions.  `grouped_high`: W sits low in its binade and each small
+/// count lies just above half an ulp of W, so W rounds up at every step,
+/// while its product with r lies just below half an ulp of T, which sits one
+/// binade up, so T rounds down at every step.  Otherwise the mirror image:
+/// W rounds down and T rounds up.
+EntryTerms worst_case_terms(std::size_t n, bool grouped_high) {
+  EntryTerms terms;
+  if (grouped_high) {
+    terms.r = 2.0 - 0x1p-10;
+    terms.active.push_back(2.0 / terms.r * (1.0 + 0x1p-12));
+    terms.active.resize(n, 0x1p-52 * (0.5 + 0x1p-14));
+  } else {
+    terms.r = 1.0 + 0x1p-10;
+    terms.active.push_back(1.0 + 0x1p-12);
+    terms.active.resize(n, 0x1p-53 * (1.0 - 0x1p-12));
+  }
+  return terms;
+}
+
+TEST(IncrementalLp, ClearingMarginCoversWorstCaseRounding) {
+  constexpr double kU = 0x1p-53;
+  for (const bool grouped_high : {true, false}) {
+    for (const std::size_t n : {std::size_t{64}, std::size_t{1000},
+                                std::size_t{4097}}) {
+      const SupplySums sums = supply_sums(worst_case_terms(n, grouped_high));
+      const std::string where = (grouped_high ? "U > T" : "U < T") +
+                                std::string(", n = ") + std::to_string(n);
+      const double diff = sums.grouped - sums.in_order;
+      ASSERT_EQ(diff > 0.0, grouped_high) << where;
+      // Higham's bound for n terms over m = 1 entry: 2g/(1 - g) * U with
+      // g = k u / (1 - k u), k = n + m.  The crafted sums come within 10 %
+      // of it, and the margin is at least twice it.
+      const std::size_t terms = n + 1;
+      const double k = static_cast<double>(terms);
+      const double g = k * kU / (1.0 - k * kU);
+      const double bound = 2.0 * g / (1.0 - g) * sums.grouped;
+      EXPECT_LE(std::abs(diff), bound) << where;
+      EXPECT_GE(std::abs(diff), 0.9 * bound) << where;
+      EXPECT_GE(clearing_margin(terms, sums.grouped, 0.0, 0.0), 2.0 * bound)
+          << where;
+
+      // Every certified decision is the reference's: sweep lambda across
+      // both decision edges (gap = +-f_tol) from well inside the margin to
+      // well past it.  Steps of |diff|/16 put lambdas between T and U, where
+      // a margin below |diff| would certify the wrong side.
+      int certified = 0;
+      for (const double side : {1.0, -1.0}) {
+        for (int j = -160; j <= 160; ++j) {
+          const double edge = sums.grouped - side * 1e-9 * sums.grouped;
+          const double lambda =
+              edge - side * std::abs(diff) * static_cast<double>(j) / 16.0;
+          const double f_tol = 1e-9 * std::max(1.0, lambda);
+          const double filtered = sums.grouped - lambda;
+          const double exact = sums.in_order - lambda;
+          if (std::abs(filtered) >
+              f_tol + clearing_margin(terms, sums.grouped, lambda, f_tol)) {
+            ++certified;
+            EXPECT_EQ(filtered > 0.0, exact > 0.0) << where << " j " << j;
+            EXPECT_GT(std::abs(exact), f_tol) << where << " j " << j;
+          }
+        }
+      }
+      EXPECT_GT(certified, 0) << where;
+    }
+  }
+  // A non-finite regrouped sum is never certified.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(inf - 1.0 > 1e-9 + clearing_margin(10, inf, 1.0, 1e-9));
+  EXPECT_EQ(clearing_margin(std::size_t{1} << 27, 1.0, 1.0, 1e-9), inf);
+}
+
+/// The in-order sums and gap evaluations of the load-LP solves run by
+/// `body`, read from a registry installed around it.
+struct ClearingTally {
+  std::int64_t entries = 0;
+  std::int64_t gap_evaluations = 0;
+  std::int64_t exact_sums = 0;
+};
+
+template <typename Body>
+ClearingTally tally_solves(Body body) {
+  obs::Registry registry;
+  {
+    const obs::GlobalRegistryScope scope(&registry);
+    body();
+  }
+  return {registry.counter_value("load_lp.entries"),
+          registry.counter_value("load_lp.gap_evaluations"),
+          registry.counter_value("load_lp.exact_sums")};
+}
+
+TEST(IncrementalLp, CertifiedClearingBitExactOnLargeFleetsOfFewEntries) {
+  // Fleets of 200-2000 groups whose active groups share 1-4 entries (server
+  // type, level), with integer and fractional active counts: every result
+  // must still be the reference's, through both entry points, while most
+  // bisection steps are decided by the one-term-per-entry sum.
+  struct Shape {
+    std::size_t groups;
+    std::size_t types;
+    std::size_t levels;  ///< levels each type runs at
+  };
+  const Shape shapes[] = {{200, 1, 1},  {2000, 1, 1}, {200, 2, 1},
+                          {1000, 1, 3}, {2000, 2, 2}, {2000, 4, 1}};
+  util::Rng rng(20261019);
+  int solves = 0;
+  const ClearingTally tally = tally_solves([&] {
+    for (const Shape& shape : shapes) {
+      const dc::Fleet fleet = dc::make_default_fleet(
+          {.total_servers = 40 * shape.groups,
+           .group_count = shape.groups,
+           .generations = shape.types});
+      ASSERT_EQ(fleet.tables().type_group.size(), shape.types);
+      for (const bool fractional : {false, true}) {
+        dc::Allocation state(fleet.group_count());
+        for (std::size_t g = 0; g < state.size(); ++g) {
+          const std::size_t top = fleet.group(g).spec().level_count() - 1;
+          state[g].level = top - (g / shape.types) % shape.levels;
+          const double servers = fleet.server_counts()[g];
+          const double share = rng.uniform(0.2, 1.0) * servers;
+          state[g].active = fractional ? share : std::max(1.0, std::floor(share));
+        }
+        SlotWeights w = random_weights(rng);
+        w.beta = rng.uniform(0.002, 0.05);
+        const double capacity = dc::capped_capacity(fleet, state, w.gamma);
+        for (int draw = 0; draw < 4; ++draw) {
+          const std::string where =
+              std::to_string(shape.groups) + " groups, " +
+              std::to_string(shape.types * shape.levels) + " entries, " +
+              (fractional ? "fractional" : "integer") + ", draw " +
+              std::to_string(draw);
+          SlotInput input{rng.uniform(0.05, 0.98) * capacity, 0.0,
+                          rng.uniform(0.01, 0.3)};
+          auto probe = state;
+          balance_loads(fleet, probe, input, w);
+          input.onsite_kw = rng.uniform(0.0, 1.5) *
+                            allocation_facility_kw(fleet, probe, w.pue);
+          expect_solve_bit_identical(fleet, state, input, w, where);
+          const double mu = rng.uniform(0.0, 2.0);
+          expect_linear_bit_identical(fleet, state, input.lambda, mu, w,
+                                      where + " linear");
+          solves += 2;
+        }
+      }
+    }
+  });
+  ASSERT_GT(tally.gap_evaluations, 0);
+  // Each solve priced at most 4 entries, and most bisection steps skipped
+  // the in-order group sum (the two bracket endpoints always take it).
+  EXPECT_LE(tally.entries, 4 * solves);
+  EXPECT_LT(5 * tally.exact_sums, tally.gap_evaluations);
+}
+
+TEST(IncrementalLp, GsdChainOnDefaultFleetCertifiesMostBisectionSteps) {
+  // The paper's 200-group fleet under one 500-iteration GSD chain: the
+  // bisection must take the in-order group sum on under 10 % of its gap
+  // evaluations, or the certified clearing is not actually in use.
+  const dc::Fleet fleet = dc::make_default_fleet();
+  SlotWeights w;
+  w.V = 100.0;
+  w.q = 0.5;
+  w.beta = 0.01;
+  w.gamma = 0.9;
+  const SlotInput input{0.4 * w.gamma * fleet.max_capacity(),
+                        0.2 * fleet.peak_power_kw(), 0.06};
+  GsdConfig config;
+  config.chains = 1;
+  GsdResult result;
+  const ClearingTally tally = tally_solves(
+      [&] { result = GsdSolver(config).solve(fleet, input, w); });
+  EXPECT_TRUE(result.solution.feasible);
+  EXPECT_GT(tally.gap_evaluations, 100 * result.evaluations / 10);
+  EXPECT_LT(10 * tally.exact_sums, tally.gap_evaluations);
+  // The groups of a solve share a few dozen entries at most.
+  EXPECT_LT(tally.entries, 40 * static_cast<std::int64_t>(result.evaluations));
 }
 
 TEST(ServerTypes, TablesFollowPueAndKeepLaterSolvesExact) {
