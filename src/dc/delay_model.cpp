@@ -31,11 +31,4 @@ double total_delay_jobs(const Fleet& fleet, const Allocation& alloc) {
   return total;
 }
 
-double fleet_mean_response_seconds(const Fleet& fleet, const Allocation& alloc) {
-  const double load = total_load(alloc);
-  if (load <= 0.0) return 0.0;
-  // Little's law: jobs in system / throughput.
-  return total_delay_jobs(fleet, alloc) / load;
-}
-
 }  // namespace coca::dc

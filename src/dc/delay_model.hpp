@@ -20,9 +20,8 @@ double mg1ps_jobs_in_system(double lambda, double rate);
 
 /// Total fleet delay cost d (Eq. 4): sum over groups of
 /// active * a/(x - a) with per-server load a.  +inf if any server saturated.
+/// The object-model reference: it sums `ServerGroup::delay_cost`, which
+/// `opt::evaluate`'s table pass (`group_terms`) must equal.
 double total_delay_jobs(const Fleet& fleet, const Allocation& alloc);
-
-/// Load-weighted mean response time across the fleet (seconds); 0 when idle.
-double fleet_mean_response_seconds(const Fleet& fleet, const Allocation& alloc);
 
 }  // namespace coca::dc

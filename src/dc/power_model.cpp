@@ -6,6 +6,14 @@
 #include <string>
 
 namespace coca::dc {
+namespace {
+
+/// The number of levels in group g's ladder.
+std::size_t ladder_size(const FleetTables& tables, std::size_t g) {
+  return tables.level_offset[g + 1] - tables.level_offset[g];
+}
+
+}  // namespace
 
 double total_load(const Allocation& alloc) {
   double sum = 0.0;
@@ -19,53 +27,42 @@ double total_active_servers(const Allocation& alloc) {
   return sum;
 }
 
+const char* domain_violation(const Fleet& fleet, std::size_t g,
+                             const GroupAllocation& a) {
+  if (a.active < 0.0 || a.active > fleet.server_counts()[g] * (1.0 + 1e-9)) {
+    return "active outside [0, count]";
+  }
+  if (a.load < 0.0) return "negative load";
+  if (a.active == 0.0) {
+    return a.load > 0.0 ? "load with no active servers" : nullptr;
+  }
+  const FleetTables& tables = fleet.tables();
+  const double rate = tables.rate[tables.level_offset[g] + a.level];
+  if (a.load / a.active > rate * (1.0 + 1e-9)) {
+    return "per-server load above the service rate";
+  }
+  return nullptr;
+}
+
 double it_power_kw(const Fleet& fleet, const Allocation& alloc) {
   if (alloc.size() != fleet.group_count()) {
     throw std::invalid_argument("it_power_kw: allocation size mismatch");
   }
+  const FleetTables& tables = fleet.tables();
   double power = 0.0;
   for (std::size_t g = 0; g < alloc.size(); ++g) {
-    power += fleet.group(g).power_kw(alloc[g].level, alloc[g].active,
-                                     alloc[g].load);
+    const GroupAllocation& a = alloc[g];
+    if (a.active != 0.0 && a.level >= ladder_size(tables, g)) {
+      throw std::out_of_range("it_power_kw: group " + std::to_string(g) +
+                              " level outside its ladder");
+    }
+    if (const char* why = domain_violation(fleet, g, a)) {
+      throw std::domain_error("it_power_kw: group " + std::to_string(g) +
+                              ": " + why);
+    }
+    power += group_terms(tables, g, a).it_kw;
   }
   return power;
-}
-
-double facility_power_kw(const Fleet& fleet, const Allocation& alloc,
-                         double pue) {
-  if (pue < 1.0) throw std::invalid_argument("facility_power_kw: PUE < 1");
-  return pue * it_power_kw(fleet, alloc);
-}
-
-double brown_power_kw(double facility_kw, double onsite_kw) {
-  return std::max(0.0, facility_kw - onsite_kw);
-}
-
-double electricity_cost(double price_per_kwh, double facility_kw,
-                        double onsite_kw, double slot_hours) {
-  return electricity_cost(units::UsdPerKwh{price_per_kwh},
-                          units::KiloWatts{facility_kw},
-                          units::KiloWatts{onsite_kw},
-                          units::Hours{slot_hours})
-      .value();  // UNITS: documented raw-double delegate
-}
-
-units::KiloWatts it_power(const Fleet& fleet, const Allocation& alloc) {
-  return units::KiloWatts{it_power_kw(fleet, alloc)};
-}
-
-units::KiloWatts facility_power(const Fleet& fleet, const Allocation& alloc,
-                                double pue) {
-  return units::KiloWatts{facility_power_kw(fleet, alloc, pue)};
-}
-
-units::Usd electricity_cost(units::UsdPerKwh price, units::KiloWatts facility,
-                            units::KiloWatts onsite, units::Hours slot) {
-  if (price.value() < 0.0 || slot.value() <= 0.0) {  // UNITS: sign check
-    throw std::invalid_argument("electricity_cost: bad price/slot length");
-  }
-  // Eq. 3: kW * h -> kWh, then kWh * $/kWh -> $ — checked by the type system.
-  return brown_power(facility, onsite) * slot * price;
 }
 
 bool allocation_feasible(const Fleet& fleet, const Allocation& alloc,
@@ -76,21 +73,21 @@ bool allocation_feasible(const Fleet& fleet, const Allocation& alloc,
   };
   if (alloc.size() != fleet.group_count()) return fail("group count mismatch");
   if (gamma <= 0.0 || gamma >= 1.0) return fail("gamma outside (0, 1)");
+  const FleetTables& tables = fleet.tables();
+  const std::vector<double>& servers = fleet.server_counts();
   constexpr double kTol = 1e-6;
   for (std::size_t g = 0; g < alloc.size(); ++g) {
     const auto& a = alloc[g];
-    const auto& group = fleet.group(g);
-    if (a.level >= group.spec().level_count()) {
+    if (a.level >= ladder_size(tables, g)) {
       return fail("group " + std::to_string(g) + ": bad level");
     }
-    if (a.active < -kTol ||
-        a.active > static_cast<double>(group.server_count()) * (1.0 + kTol)) {
+    if (a.active < -kTol || a.active > servers[g] * (1.0 + kTol)) {
       return fail("group " + std::to_string(g) + ": active outside [0, count]");
     }
     if (a.load < -kTol) {
       return fail("group " + std::to_string(g) + ": negative load");
     }
-    const double rate = group.spec().level(a.level).service_rate;
+    const double rate = tables.rate[tables.level_offset[g] + a.level];
     const double cap = gamma * rate * std::max(0.0, a.active);
     if (a.load > cap * (1.0 + 1e-6) + kTol) {
       std::ostringstream msg;
@@ -111,12 +108,11 @@ double capped_capacity(const Fleet& fleet, const Allocation& alloc,
   const FleetTables& tables = fleet.tables();
   double cap = 0.0;
   for (std::size_t g = 0; g < alloc.size(); ++g) {
-    const std::size_t first = tables.level_offset[g];
-    if (alloc[g].level >= tables.level_offset[g + 1] - first) {
+    if (alloc[g].level >= ladder_size(tables, g)) {
       throw std::out_of_range("capped_capacity: group " + std::to_string(g) +
                               " level outside its ladder");
     }
-    const double rate = tables.rate[first + alloc[g].level];
+    const double rate = tables.rate[tables.level_offset[g] + alloc[g].level];
     cap += gamma * rate * alloc[g].active;
   }
   return cap;

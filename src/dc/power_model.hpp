@@ -1,6 +1,6 @@
 #pragma once
-// Fleet-level power/electricity model (Eqs. 1-3) and the allocation type
-// shared by the whole optimization stack.
+// Fleet-level power model (Eqs. 1-3), the fleet's delay terms (Eq. 4) and
+// the allocation type shared by the whole optimization stack.
 //
 // An Allocation is the joint capacity-provisioning + load-distribution
 // decision at one time slot: for every group, the chosen speed level, the
@@ -9,6 +9,7 @@
 // load equally (symmetry of Eq. 4 under a common speed).
 
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -31,40 +32,52 @@ double total_load(const Allocation& alloc);
 /// Count of active servers across groups.
 double total_active_servers(const Allocation& alloc);
 
-/// IT power of the fleet (kW), Eq. 2.
+/// One group's share of the slot's IT power and delay.
+struct GroupTerms {
+  double it_kw = 0.0;       ///< Eq. 1 times the active count (kW)
+  double delay_jobs = 0.0;  ///< Eq. 4 summed over the active servers
+};
+
+/// Why group g's allocation lies outside the power model's domain (active
+/// count in [0, count], no negative load, no load without active servers,
+/// per-server load within its level's service rate), or nullptr inside it.
+/// The level must lie in the group's ladder if any server is active.
+const char* domain_violation(const Fleet& fleet, std::size_t g,
+                             const GroupAllocation& a);
+
+/// Group g's terms, read from the fleet tables: the one implementation of
+/// Eqs. 1 and 4 over an allocation.  `ServerGroup::power_kw` and
+/// `ServerGroup::delay_cost` are the object-model reference it equals bit
+/// for bit.  `a` must lie in the power model's domain (`domain_violation`);
+/// an idle group contributes exact zeros, and a server loaded to its rate an
+/// infinite delay.  Inline, so that it inlines into its callers' group loops.
+inline GroupTerms group_terms(const FleetTables& tables, std::size_t g,
+                              const GroupAllocation& a) {
+  if (a.active == 0.0) return {};
+  const std::size_t slot = tables.level_offset[g] + a.level;
+  const double rate = tables.rate[slot];
+  const double per = a.load / a.active;
+  GroupTerms terms;
+  terms.it_kw =
+      a.active * (tables.static_kw[g] + tables.dynamic_kw[slot] * (per / rate));
+  if (a.load > 0.0) {
+    terms.delay_jobs = per >= rate ? std::numeric_limits<double>::infinity()
+                                   : a.active * per / (rate - per);
+  }
+  return terms;
+}
+
+/// IT power of the fleet (kW), Eq. 2: the groups' terms summed in group
+/// order.  Throws std::invalid_argument on a size mismatch,
+/// std::out_of_range for an active group's level outside its ladder and
+/// std::domain_error outside the power model's domain.
 double it_power_kw(const Fleet& fleet, const Allocation& alloc);
-
-/// Facility power: IT power times the PUE factor (Sec. 2.1, footnote 1).
-double facility_power_kw(const Fleet& fleet, const Allocation& alloc, double pue);
-
-/// Brown power drawn from the grid: [p - r]^+ (kW), Eq. 3's bracket.
-double brown_power_kw(double facility_kw, double onsite_kw);
-
-/// Electricity cost for one slot ($): w * [p - r]^+ * slot_hours, Eq. 3.
-double electricity_cost(double price_per_kwh, double facility_kw,
-                        double onsite_kw, double slot_hours);
-
-// Typed layer (see util/units.hpp): the same model with the dimensions in
-// the signatures, so a kW-vs-kWh or $-vs-$/kWh mixup fails to compile.  The
-// raw-double functions above remain the solver-math escape hatch.
-
-/// Eq. 2 as power.
-units::KiloWatts it_power(const Fleet& fleet, const Allocation& alloc);
-
-/// PUE-scaled facility power.
-units::KiloWatts facility_power(const Fleet& fleet, const Allocation& alloc,
-                                double pue);
 
 /// Eq. 3's bracket [p - r]^+ — both operands must be power.
 constexpr units::KiloWatts brown_power(units::KiloWatts facility,
                                        units::KiloWatts onsite) {
   return units::positive_part(facility - onsite);
 }
-
-/// Eq. 3 end to end: w * [p - r]^+ * slot -> dollars.  The implementation is
-/// the dimension-checked product; the raw overload delegates here.
-units::Usd electricity_cost(units::UsdPerKwh price, units::KiloWatts facility,
-                            units::KiloWatts onsite, units::Hours slot);
 
 /// Validate an allocation against the fleet and the utilization cap
 /// (constraints 7 and 9 plus physical bounds).  Returns true if feasible;

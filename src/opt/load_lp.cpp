@@ -292,125 +292,6 @@ double solve_linear(Lanes& lanes, dc::Allocation& alloc, double lambda,
   return nu;
 }
 
-/// Table-driven replica of opt::evaluate(): identical expressions, check
-/// order and group-order summation (bit-for-bit), with the spec lookups
-/// served from the flat tables and the string/exception machinery bypassed
-/// on the happy path.  Every early exit routes through the reference so the
-/// diagnostic text (or throw) is exactly the reference's.
-SlotOutcome outcome_at(const dc::Fleet& fleet, const dc::Allocation& alloc,
-                       const SlotInput& input, const SlotWeights& weights) {
-  const dc::FleetTables& tables = fleet.tables();
-  const std::vector<double>& servers = fleet.server_counts();
-  const std::size_t groups = alloc.size();
-  if (groups != fleet.group_count() || weights.gamma <= 0.0 ||
-      weights.gamma >= 1.0) {
-    return evaluate(fleet, alloc, input, weights);
-  }
-  constexpr double kTol = 1e-6;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const auto& a = alloc[g];
-    if (a.level >= tables.level_offset[g + 1] - tables.level_offset[g] ||
-        a.active < 0.0 || a.active > servers[g] * (1.0 + 1e-9) ||
-        a.load < 0.0) {
-      // Includes the reference-legal tolerance slivers (e.g. active in
-      // [-1e-6, 0)) where evaluate()'s own power model would throw — the
-      // reference path reproduces that behavior exactly.
-      return evaluate(fleet, alloc, input, weights);
-    }
-    const double rate = tables.rate[tables.level_offset[g] + a.level];
-    const double cap = weights.gamma * rate * std::max(0.0, a.active);
-    if (a.load > cap * (1.0 + 1e-6) + kTol) {
-      return evaluate(fleet, alloc, input, weights);
-    }
-  }
-  double served = 0.0;
-  for (std::size_t g = 0; g < groups; ++g) served += alloc[g].load;
-  if (std::abs(served - input.lambda) >
-      1e-6 * std::max(1.0, input.lambda) + 1e-6) {
-    return evaluate(fleet, alloc, input, weights);  // sets the reason
-  }
-  double it = 0.0;
-  double delay_jobs = 0.0;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const auto& a = alloc[g];
-    if (a.active == 0.0) {
-      if (a.load > 0.0) return evaluate(fleet, alloc, input, weights);
-      continue;  // contributes exact 0.0 to both sums, like the reference
-    }
-    const std::size_t slot = tables.level_offset[g] + a.level;
-    const double rate = tables.rate[slot];
-    const double per = a.load / a.active;
-    if (per > rate * (1.0 + 1e-9)) {
-      return evaluate(fleet, alloc, input, weights);  // reference throws
-    }
-    // ServerGroup::power_kw / ServerSpec::power_kw, expression preserved.
-    it += a.active *
-          (tables.static_kw[g] + tables.dynamic_kw[slot] * (per / rate));
-    // ServerGroup::delay_cost, expression preserved.
-    if (a.load > 0.0) {
-      delay_jobs += per >= rate ? std::numeric_limits<double>::infinity()
-                                : a.active * per / (rate - per);
-    }
-  }
-  SlotOutcome out;
-  const double slot_h = weights.slot_hours;
-  const double facility = weights.pue * it;
-  const double brown = std::max(0.0, facility - input.onsite_kw) * slot_h;
-  const double electricity = brown * input.price;
-  out.delay_jobs = delay_jobs;
-  const double delay = (weights.beta * delay_jobs) * slot_h;
-  const double total = electricity + delay;
-  out.it_power_kw = it;
-  out.facility_power_kw = facility;
-  out.brown_kwh = brown;
-  out.electricity_cost = electricity;
-  out.delay_cost = delay;
-  out.total_cost = total;
-  out.objective = weights.V * total + weights.q * brown +
-                  weights.power_price * facility * slot_h;
-  out.feasible = true;
-  return out;
-}
-
-/// Table-driven replica of `allocation_facility_kw` = pue * it_power_kw: the
-/// summation keeps the reference's group order and the power model's
-/// expression shape (active * (static + dyn * (per/rate))), so the product
-/// is bit-identical.  Any check the power model would reject (or a tolerance
-/// sliver where it would throw) defers to the reference, as in outcome_at.
-double facility_kw_at(const dc::Fleet& fleet, const dc::Allocation& alloc,
-                      const SlotWeights& weights) {
-  const dc::FleetTables& tables = fleet.tables();
-  const std::vector<double>& servers = fleet.server_counts();
-  const std::size_t groups = alloc.size();
-  if (groups != fleet.group_count()) {
-    return allocation_facility_kw(fleet, alloc, weights.pue);
-  }
-  double it = 0.0;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const auto& a = alloc[g];
-    if (a.level >= tables.level_offset[g + 1] - tables.level_offset[g] ||
-        a.active < 0.0 || a.active > servers[g] * (1.0 + 1e-9) ||
-        a.load < 0.0) {
-      return allocation_facility_kw(fleet, alloc, weights.pue);
-    }
-    if (a.active == 0.0) {
-      if (a.load > 0.0) {
-        return allocation_facility_kw(fleet, alloc, weights.pue);
-      }
-      continue;  // exact 0.0 contribution, like the reference
-    }
-    const std::size_t slot = tables.level_offset[g] + a.level;
-    const double rate = tables.rate[slot];
-    const double per = a.load / a.active;
-    if (per > rate * (1.0 + 1e-9)) {
-      return allocation_facility_kw(fleet, alloc, weights.pue);
-    }
-    it += a.active *
-          (tables.static_kw[g] + tables.dynamic_kw[slot] * (per / rate));
-  }
-  return weights.pue * it;
-}
-
 /// The installed registry's `load_lp.*` counters, resolved once per thread
 /// and registry: a solve then bumps them without a locked name lookup.
 struct SolveCounters {
@@ -447,19 +328,19 @@ LoadBalanceResult solve_kinked(Lanes& lanes, const dc::Fleet& fleet,
 
   double nu = solve_linear(lanes, alloc, input.lambda, mu_full, weights);
   if (nu < 0.0) {
-    result.outcome = outcome_at(fleet, alloc, input, weights);
+    result.outcome = evaluate(fleet, alloc, input, weights);
     result.outcome.infeasible_reason = "active capacity below lambda";
     return result;
   }
-  // Fused regime check: outcome_at's facility_power_kw carries the exact
-  // bits facility_kw_at would produce (same expressions, same order), so one
-  // pass serves both the [p - r]^+ branch decision and the returned outcome.
-  // A fallback (reference-evaluated, possibly infeasible) outcome recomputes
-  // the power the explicit way, preserving the reference decision sequence.
-  SlotOutcome out_a = outcome_at(fleet, alloc, input, weights);
+  // Evaluate once per regime: a feasible outcome's facility_power_kw is the
+  // bits allocation_facility_kw returns (the same table pass in the same
+  // order), so one evaluation serves both the [p - r]^+ branch decision and
+  // the returned outcome.  An infeasible outcome carries no power, so the
+  // check computes it the explicit way, as the reference does.
+  SlotOutcome out_a = evaluate(fleet, alloc, input, weights);
   const double power_a =
       out_a.feasible ? out_a.facility_power_kw
-                     : facility_kw_at(fleet, alloc, weights);
+                     : allocation_facility_kw(fleet, alloc, weights.pue);
   if (power_a >= input.onsite_kw * (1.0 - 1e-9)) {
     result.feasible = true;
     result.regime = PowerRegime::kGridDraw;
@@ -471,10 +352,10 @@ LoadBalanceResult solve_kinked(Lanes& lanes, const dc::Fleet& fleet,
 
   const double mu_floor = weights.power_price;
   nu = solve_linear(lanes, alloc, input.lambda, mu_floor, weights);
-  SlotOutcome out_b = outcome_at(fleet, alloc, input, weights);
+  SlotOutcome out_b = evaluate(fleet, alloc, input, weights);
   const double power_b =
       out_b.feasible ? out_b.facility_power_kw
-                     : facility_kw_at(fleet, alloc, weights);
+                     : allocation_facility_kw(fleet, alloc, weights.pue);
   if (power_b <= input.onsite_kw * (1.0 + 1e-9)) {
     result.feasible = true;
     result.regime = PowerRegime::kRenewable;
@@ -486,7 +367,7 @@ LoadBalanceResult solve_kinked(Lanes& lanes, const dc::Fleet& fleet,
 
   auto power_gap = [&](double mu) {
     solve_linear(lanes, alloc, input.lambda, mu, weights);
-    return facility_kw_at(fleet, alloc, weights) - input.onsite_kw;
+    return allocation_facility_kw(fleet, alloc, weights.pue) - input.onsite_kw;
   };
   util::BisectionOptions options;
   options.x_tol = std::max(1e-12, mu_full * 1e-10);
@@ -498,7 +379,7 @@ LoadBalanceResult solve_kinked(Lanes& lanes, const dc::Fleet& fleet,
   result.regime = PowerRegime::kBoundary;
   result.nu = nu;
   result.effective_price = boundary.x;
-  result.outcome = outcome_at(fleet, alloc, input, weights);
+  result.outcome = evaluate(fleet, alloc, input, weights);
   return result;
 }
 

@@ -23,9 +23,10 @@
 //     reads the supply regrouped into one term per entry, and falls back to
 //     the reference's in-order sum over the groups only when the regrouped
 //     gap lies within the proven rounding margin (`clearing_margin`) of
-//     the step's decision, so every step decides as the reference does;
-//   * table-driven replicas of `evaluate` / `allocation_facility_kw` for the
-//     regime checks and the returned outcome.
+//     the step's decision, so every step decides as the reference does.
+// The regime checks and the returned outcome call `evaluate` and
+// `allocation_facility_kw`, the reference's own scoring, which read the
+// fleet tables in one pass (`dc::group_terms`).
 //
 // Every result is bit-for-bit identical to the reference `balance_loads`:
 // the canonical bracket, tolerances, regime order and iteration order are

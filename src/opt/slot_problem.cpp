@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace coca::opt {
 
@@ -20,16 +21,29 @@ SlotOutcome evaluate(const dc::Fleet& fleet, const dc::Allocation& alloc,
     return out;
   }
 
+  // IT power (Eq. 2) and delay jobs (Eq. 4) in one pass over the tables.
+  const dc::FleetTables& tables = fleet.tables();
+  double it_kw = 0.0;
+  double delay_jobs = 0.0;
+  for (std::size_t g = 0; g < alloc.size(); ++g) {
+    if (const char* bad = dc::domain_violation(fleet, g, alloc[g])) {
+      throw std::domain_error(std::string("evaluate: ") + bad);
+    }
+    const dc::GroupTerms terms = dc::group_terms(tables, g, alloc[g]);
+    it_kw += terms.it_kw;
+    delay_jobs += terms.delay_jobs;
+  }
+
   // Cost accounting through the typed layer (util/units.hpp): each line is a
   // dimensional identity the compiler checks — kW * h -> kWh,
   // kWh * $/kWh -> $, $/h * h -> $.
   const units::Hours slot = weights.slot_duration();
-  const units::KiloWatts it = dc::it_power(fleet, alloc);
+  const units::KiloWatts it{it_kw};
   const units::KiloWatts facility = weights.pue * it;
   const units::KiloWattHours brown =
       dc::brown_power(facility, input.onsite_power()) * slot;
   const units::Usd electricity = brown * input.price_per_kwh();
-  out.delay_jobs = dc::total_delay_jobs(fleet, alloc);
+  out.delay_jobs = delay_jobs;
   const units::Usd delay = units::UsdPerHour{weights.beta * out.delay_jobs} * slot;
   const units::Usd total = electricity + delay;
 

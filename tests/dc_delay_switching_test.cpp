@@ -63,16 +63,6 @@ TEST(FleetDelay, SumsGroupsAndHandlesIdle) {
   EXPECT_NEAR(total_delay_jobs(fleet, alloc), 2.0, 1e-12);
 }
 
-TEST(FleetDelay, MeanResponseViaLittlesLaw) {
-  const Fleet fleet = make_homogeneous_fleet(1, 10);
-  Allocation alloc(1);
-  alloc[0] = {3, 2.0, 10.0};
-  // 2 jobs in system / 10 req/s throughput = 0.2 s.
-  EXPECT_NEAR(fleet_mean_response_seconds(fleet, alloc), 0.2, 1e-12);
-  Allocation idle(1);
-  EXPECT_DOUBLE_EQ(fleet_mean_response_seconds(fleet, idle), 0.0);
-}
-
 TEST(FleetDelay, LoadBalancingAcrossTwoServersBeatsConcentration) {
   // Convexity consequence: an even split has lower total delay than a skewed
   // split at equal speeds.

@@ -77,22 +77,21 @@ TEST_F(PowerModelTest, ItPowerSumsGroups) {
   EXPECT_NEAR(it_power_kw(fleet_, a), 2.0 * (0.140 + 0.091 * 0.5), 1e-12);
 }
 
-TEST_F(PowerModelTest, FacilityPowerAppliesPue) {
-  const auto a = alloc(1.0, 0.0, 0.0, 0.0);
-  EXPECT_NEAR(facility_power_kw(fleet_, a, 1.5), 1.5 * 0.140, 1e-12);
-  EXPECT_THROW(facility_power_kw(fleet_, a, 0.9), std::invalid_argument);
-}
-
 TEST_F(PowerModelTest, BrownPowerClampsAtZero) {
-  EXPECT_DOUBLE_EQ(brown_power_kw(10.0, 4.0), 6.0);
-  EXPECT_DOUBLE_EQ(brown_power_kw(4.0, 10.0), 0.0);
+  EXPECT_EQ(brown_power(units::kw(10.0), units::kw(4.0)), units::kw(6.0));
+  EXPECT_EQ(brown_power(units::kw(4.0), units::kw(10.0)), units::kw(0.0));
 }
 
 TEST_F(PowerModelTest, ElectricityCostEquation3) {
-  // w * [p - r]^+ * h.
-  EXPECT_NEAR(electricity_cost(0.05, 100.0, 30.0, 1.0), 3.5, 1e-12);
-  EXPECT_DOUBLE_EQ(electricity_cost(0.05, 20.0, 30.0, 1.0), 0.0);
-  EXPECT_THROW(electricity_cost(-0.01, 1.0, 0.0, 1.0), std::invalid_argument);
+  // w * [p - r]^+ * h, as opt::evaluate composes it from the typed layer.
+  const auto cost = [](double price, double facility_kw, double onsite_kw,
+                       double slot_hours) {
+    return (brown_power(units::kw(facility_kw), units::kw(onsite_kw)) *
+            units::hours(slot_hours) * units::usd_per_kwh(price))
+        .value();
+  };
+  EXPECT_NEAR(cost(0.05, 100.0, 30.0, 1.0), 3.5, 1e-12);
+  EXPECT_DOUBLE_EQ(cost(0.05, 20.0, 30.0, 1.0), 0.0);
 }
 
 TEST_F(PowerModelTest, TotalsHelpers) {

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -819,6 +820,154 @@ TEST(ServerTypes, TablesFollowPueAndKeepLaterSolvesExact) {
   auto old_alloc = full_alloc(fleet);
   const auto old_ref = balance_loads(fleet, old_alloc, input, weights);
   expect_bit_identical(old_ref, back, old_alloc, back_alloc, "back at old pue");
+}
+
+// --- evaluate against the object model -------------------------------------
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// A slot's outcome as the object model computes it: ServerGroup::power_kw
+/// and ServerGroup::delay_cost summed in group order, then evaluate's Eq. 3
+/// and Eq. 16 expressions.
+SlotOutcome object_model_outcome(const dc::Fleet& fleet,
+                                 const dc::Allocation& alloc,
+                                 const SlotInput& input, const SlotWeights& w) {
+  double it = 0.0;
+  double delay_jobs = 0.0;
+  for (std::size_t g = 0; g < alloc.size(); ++g) {
+    const dc::GroupAllocation& a = alloc[g];
+    it += fleet.group(g).power_kw(a.level, a.active, a.load);
+    delay_jobs += fleet.group(g).delay_cost(a.level, a.active, a.load);
+  }
+  SlotOutcome out;
+  out.it_power_kw = it;
+  out.facility_power_kw = w.pue * it;
+  out.brown_kwh =
+      std::max(0.0, out.facility_power_kw - input.onsite_kw) * w.slot_hours;
+  out.electricity_cost = out.brown_kwh * input.price;
+  out.delay_jobs = delay_jobs;
+  out.delay_cost = (w.beta * delay_jobs) * w.slot_hours;
+  out.total_cost = out.electricity_cost + out.delay_cost;
+  out.objective = w.V * out.total_cost + w.q * out.brown_kwh +
+                  w.power_price * out.facility_power_kw * w.slot_hours;
+  out.feasible = true;
+  return out;
+}
+
+/// Expects `got` (an outcome of `alloc`), dc::it_power_kw and
+/// allocation_facility_kw to equal the object model bit for bit.
+void expect_object_model(const dc::Fleet& fleet, const dc::Allocation& alloc,
+                         const SlotInput& input, const SlotWeights& w,
+                         const SlotOutcome& got, const std::string& where) {
+  ASSERT_TRUE(got.feasible) << where << ": " << got.infeasible_reason;
+  EXPECT_TRUE(got.infeasible_reason.empty()) << where;
+  const SlotOutcome want = object_model_outcome(fleet, alloc, input, w);
+  const std::pair<const char*, double SlotOutcome::*> fields[] = {
+      {"it_power_kw", &SlotOutcome::it_power_kw},
+      {"facility_power_kw", &SlotOutcome::facility_power_kw},
+      {"brown_kwh", &SlotOutcome::brown_kwh},
+      {"electricity_cost", &SlotOutcome::electricity_cost},
+      {"delay_jobs", &SlotOutcome::delay_jobs},
+      {"delay_cost", &SlotOutcome::delay_cost},
+      {"total_cost", &SlotOutcome::total_cost},
+      {"objective", &SlotOutcome::objective}};
+  for (const auto& [name, field] : fields) {
+    EXPECT_TRUE(same_bits(got.*field, want.*field))
+        << where << " " << name << ": " << got.*field << " vs "
+        << want.*field;
+  }
+  EXPECT_TRUE(same_bits(dc::it_power_kw(fleet, alloc), want.it_power_kw))
+      << where;
+  EXPECT_TRUE(same_bits(allocation_facility_kw(fleet, alloc, w.pue),
+                        want.facility_power_kw))
+      << where;
+}
+
+TEST(Evaluate, MatchesTheObjectModelBitForBit) {
+  // evaluate, dc::it_power_kw and allocation_facility_kw read the fleet
+  // tables through dc::group_terms, and so does every load-LP outcome; the
+  // object model is the independent reference.  Allocations come from
+  // load-LP solves along GSD-style flip sequences, with integer and
+  // fractional active counts, on random fleets and on degraded copies with
+  // zero-server groups.  One group per scenario is then loaded just past
+  // its service rate (inside the power model's domain), where Eq. 4 is
+  // infinite.
+  util::Rng rng(20261020);
+  int compared = 0;
+  int fractional = 0;
+  int with_zero_server_group = 0;
+  int saturated = 0;
+  for (int scenario = 0; scenario < 100; ++scenario) {
+    const dc::Fleet base = random_fleet(rng);
+    const dc::Fleet degraded = random_degraded(rng, base);
+    const dc::Fleet& fleet = scenario % 2 == 0 ? base : degraded;
+    const SlotWeights w = random_weights(rng);
+    const bool fractional_counts = scenario % 3 != 0;
+    const double capacity =
+        dc::capped_capacity(fleet, full_alloc(fleet), w.gamma);
+    SlotInput input{rng.uniform(0.05, 0.6) * capacity, 0.0,
+                    rng.uniform(0.01, 0.3)};
+    auto probe = full_alloc(fleet);
+    balance_loads(fleet, probe, input, w);
+    input.onsite_kw =
+        rng.bernoulli(0.3)
+            ? 0.0
+            : rng.uniform(0.0, 1.5) *
+                  std::max(1.0, allocation_facility_kw(fleet, probe, w.pue));
+    const bool has_zero_server_group =
+        std::count(fleet.server_counts().begin(), fleet.server_counts().end(),
+                   0.0) > 0;
+
+    dc::Allocation state = full_alloc(fleet);
+    dc::Allocation last = state;
+    for (int flip = 0; flip < 18; ++flip) {
+      dc::Allocation alloc = state;
+      if (fractional_counts) {
+        for (auto& a : alloc) a.active *= rng.uniform(0.3, 1.0);
+      }
+      gsd_flip(rng, base, state);
+      state = clamp_to(fleet, state);
+      const auto result = solve_load_lp(fleet, alloc, input, w);
+      if (!result.feasible || !result.outcome.feasible) continue;
+      const std::string where = "scenario " + std::to_string(scenario) +
+                                " flip " + std::to_string(flip);
+      expect_object_model(fleet, alloc, input, w,
+                          evaluate(fleet, alloc, input, w), where);
+      expect_object_model(fleet, alloc, input, w, result.outcome,
+                          where + " solve");
+      last = alloc;
+      ++compared;
+      fractional += fractional_counts ? 1 : 0;
+      with_zero_server_group += has_zero_server_group ? 1 : 0;
+    }
+
+    // A group of 1e-7 servers carrying 1 + 5e-10 times their rate passes
+    // the utilization cap's absolute slack and the power model's 1e-9 rate
+    // tolerance: its Eq. 4 term is +inf.
+    for (std::size_t g = 0; g < last.size(); ++g) {
+      if (fleet.server_counts()[g] == 0.0) continue;
+      const double rate =
+          fleet.group(g).spec().level(last[g].level).service_rate;
+      last[g].active = 1e-7;
+      last[g].load = 1e-7 * rate * (1.0 + 5e-10);
+      SlotInput at_rate = input;
+      at_rate.lambda = dc::total_load(last);
+      const SlotOutcome got = evaluate(fleet, last, at_rate, w);
+      ASSERT_TRUE(std::isinf(got.delay_jobs))
+          << "scenario " << scenario << " group " << g;
+      expect_object_model(fleet, last, at_rate, w, got,
+                          "scenario " + std::to_string(scenario) +
+                              " saturated group " + std::to_string(g));
+      ++saturated;
+      break;
+    }
+  }
+  EXPECT_GE(compared, 1000);
+  EXPECT_GE(fractional, 600);
+  EXPECT_GE(with_zero_server_group, 300);
+  EXPECT_GE(saturated, 90);
 }
 
 }  // namespace

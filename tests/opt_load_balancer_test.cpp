@@ -54,6 +54,14 @@ TEST(LoadBalancer, LoadsSumToLambdaAndRespectCaps) {
   }
 }
 
+TEST(LoadBalancer, FacilityPowerAppliesPue) {
+  // One idle server at 140 W: facility power is PUE times IT power.
+  const auto fleet = dc::make_homogeneous_fleet(2, 10);
+  dc::Allocation alloc(2);
+  alloc[0] = {3, 1.0, 0.0};
+  EXPECT_NEAR(allocation_facility_kw(fleet, alloc, 1.5), 1.5 * 0.140, 1e-12);
+}
+
 TEST(LoadBalancer, HomogeneousServersShareEqually) {
   const auto fleet = dc::make_homogeneous_fleet(3, 4);
   auto alloc = both_on(fleet, 3, 4.0);
