@@ -13,6 +13,28 @@ std::size_t ladder_size(const FleetTables& tables, std::size_t g) {
   return tables.level_offset[g + 1] - tables.level_offset[g];
 }
 
+/// Why group g's allocation lies outside the power model's domain, where
+/// the object model (`ServerGroup::power_kw`) throws, or nullptr inside it.
+/// Each comparison is written so that NaN fails it.  An active group's
+/// level must lie in its ladder.
+const char* domain_violation(const Fleet& fleet, std::size_t g,
+                             const GroupAllocation& a) {
+  if (!(a.active >= 0.0 &&
+        a.active <= fleet.server_counts()[g] * (1.0 + 1e-9))) {
+    return "active outside [0, count]";
+  }
+  if (!(a.load >= 0.0)) return "negative or NaN load";
+  if (a.active == 0.0) {
+    return a.load > 0.0 ? "load with no active servers" : nullptr;
+  }
+  const FleetTables& tables = fleet.tables();
+  const double rate = tables.rate[tables.level_offset[g] + a.level];
+  if (!(a.load / a.active <= rate * (1.0 + 1e-9))) {
+    return "per-server load above the service rate";
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 double total_load(const Allocation& alloc) {
@@ -25,23 +47,6 @@ double total_active_servers(const Allocation& alloc) {
   double sum = 0.0;
   for (const auto& a : alloc) sum += a.active;
   return sum;
-}
-
-const char* domain_violation(const Fleet& fleet, std::size_t g,
-                             const GroupAllocation& a) {
-  if (a.active < 0.0 || a.active > fleet.server_counts()[g] * (1.0 + 1e-9)) {
-    return "active outside [0, count]";
-  }
-  if (a.load < 0.0) return "negative load";
-  if (a.active == 0.0) {
-    return a.load > 0.0 ? "load with no active servers" : nullptr;
-  }
-  const FleetTables& tables = fleet.tables();
-  const double rate = tables.rate[tables.level_offset[g] + a.level];
-  if (a.load / a.active > rate * (1.0 + 1e-9)) {
-    return "per-server load above the service rate";
-  }
-  return nullptr;
 }
 
 double it_power_kw(const Fleet& fleet, const Allocation& alloc) {
@@ -72,23 +77,19 @@ bool allocation_feasible(const Fleet& fleet, const Allocation& alloc,
     return false;
   };
   if (alloc.size() != fleet.group_count()) return fail("group count mismatch");
-  if (gamma <= 0.0 || gamma >= 1.0) return fail("gamma outside (0, 1)");
+  if (!(gamma > 0.0 && gamma < 1.0)) return fail("gamma outside (0, 1)");
   const FleetTables& tables = fleet.tables();
-  const std::vector<double>& servers = fleet.server_counts();
   constexpr double kTol = 1e-6;
   for (std::size_t g = 0; g < alloc.size(); ++g) {
     const auto& a = alloc[g];
     if (a.level >= ladder_size(tables, g)) {
       return fail("group " + std::to_string(g) + ": bad level");
     }
-    if (a.active < -kTol || a.active > servers[g] * (1.0 + kTol)) {
-      return fail("group " + std::to_string(g) + ": active outside [0, count]");
-    }
-    if (a.load < -kTol) {
-      return fail("group " + std::to_string(g) + ": negative load");
+    if (const char* reason = domain_violation(fleet, g, a)) {
+      return fail("group " + std::to_string(g) + ": " + reason);
     }
     const double rate = tables.rate[tables.level_offset[g] + a.level];
-    const double cap = gamma * rate * std::max(0.0, a.active);
+    const double cap = gamma * rate * a.active;
     if (a.load > cap * (1.0 + 1e-6) + kTol) {
       std::ostringstream msg;
       msg << "group " << g << ": load " << a.load

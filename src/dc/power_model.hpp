@@ -38,19 +38,13 @@ struct GroupTerms {
   double delay_jobs = 0.0;  ///< Eq. 4 summed over the active servers
 };
 
-/// Why group g's allocation lies outside the power model's domain (active
-/// count in [0, count], no negative load, no load without active servers,
-/// per-server load within its level's service rate), or nullptr inside it.
-/// The level must lie in the group's ladder if any server is active.
-const char* domain_violation(const Fleet& fleet, std::size_t g,
-                             const GroupAllocation& a);
-
 /// Group g's terms, read from the fleet tables: the one implementation of
 /// Eqs. 1 and 4 over an allocation.  `ServerGroup::power_kw` and
 /// `ServerGroup::delay_cost` are the object-model reference it equals bit
-/// for bit.  `a` must lie in the power model's domain (`domain_violation`);
-/// an idle group contributes exact zeros, and a server loaded to its rate an
-/// infinite delay.  Inline, so that it inlines into its callers' group loops.
+/// for bit.  `a` must lie in the power model's domain, which
+/// `allocation_feasible` checks; an idle group contributes exact zeros, and
+/// a server loaded to its rate an infinite delay.  Inline, so that it
+/// inlines into its callers' group loops.
 inline GroupTerms group_terms(const FleetTables& tables, std::size_t g,
                               const GroupAllocation& a) {
   if (a.active == 0.0) return {};
@@ -79,9 +73,12 @@ constexpr units::KiloWatts brown_power(units::KiloWatts facility,
   return units::positive_part(facility - onsite);
 }
 
-/// Validate an allocation against the fleet and the utilization cap
-/// (constraints 7 and 9 plus physical bounds).  Returns true if feasible;
-/// otherwise false and, if `why` is non-null, a human-readable reason.
+/// Validate an allocation against the fleet, the power model's domain
+/// (active count in [0, count], non-negative load, no load without active
+/// servers, per-server load within the level's service rate) and the
+/// utilization cap (constraints 7 and 9).  NaN fails every check.  Returns
+/// true if feasible; otherwise false and, if `why` is non-null, a
+/// human-readable reason naming the group.
 bool allocation_feasible(const Fleet& fleet, const Allocation& alloc,
                          double gamma, std::string* why = nullptr);
 

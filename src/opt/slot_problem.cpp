@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace coca::opt {
 
@@ -14,9 +13,11 @@ SlotOutcome evaluate(const dc::Fleet& fleet, const dc::Allocation& alloc,
     out.infeasible_reason = why;
     return out;
   }
+  // Written so that a NaN or infinite lambda fails it.
   const double served = dc::total_load(alloc);
-  if (std::abs(served - input.lambda) >
-      1e-6 * std::max(1.0, input.lambda) + 1e-6) {
+  if (!std::isfinite(input.lambda) ||
+      !(std::abs(served - input.lambda) <=
+        1e-6 * std::max(1.0, input.lambda) + 1e-6)) {
     out.infeasible_reason = "served load does not match lambda (constraint 8)";
     return out;
   }
@@ -26,9 +27,6 @@ SlotOutcome evaluate(const dc::Fleet& fleet, const dc::Allocation& alloc,
   double it_kw = 0.0;
   double delay_jobs = 0.0;
   for (std::size_t g = 0; g < alloc.size(); ++g) {
-    if (const char* bad = dc::domain_violation(fleet, g, alloc[g])) {
-      throw std::domain_error(std::string("evaluate: ") + bad);
-    }
     const dc::GroupTerms terms = dc::group_terms(tables, g, alloc[g]);
     it_kw += terms.it_kw;
     delay_jobs += terms.delay_jobs;

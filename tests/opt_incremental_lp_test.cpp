@@ -955,7 +955,7 @@ TEST(Evaluate, MatchesTheObjectModelBitForBit) {
       SlotInput at_rate = input;
       at_rate.lambda = dc::total_load(last);
       const SlotOutcome got = evaluate(fleet, last, at_rate, w);
-      ASSERT_TRUE(std::isinf(got.delay_jobs))
+      EXPECT_TRUE(std::isinf(got.delay_jobs))
           << "scenario " << scenario << " group " << g;
       expect_object_model(fleet, last, at_rate, w, got,
                           "scenario " + std::to_string(scenario) +
@@ -968,6 +968,84 @@ TEST(Evaluate, MatchesTheObjectModelBitForBit) {
   EXPECT_GE(fractional, 600);
   EXPECT_GE(with_zero_server_group, 300);
   EXPECT_GE(saturated, 90);
+}
+
+TEST(Evaluate, OutsideThePowerModelsDomainIsInfeasibleNotAThrow) {
+  // Both sides of each edge of the power model's domain, on group 1 of a
+  // two-group fleet of 10 servers per group (top rate 10 req/s, gamma 0.9),
+  // plus NaN and +-inf for the active count, the load and lambda.  Inside
+  // the domain evaluate agrees with the object model; outside it returns an
+  // infeasible outcome naming the group, never a throw, and dc::it_power_kw
+  // rejects the same allocation with std::domain_error.  Just outside the
+  // edges the old 1e-6 slack let these allocations through to the power
+  // model, which threw, and NaN slipped through to a feasible NaN cost.
+  const dc::Fleet fleet = dc::make_homogeneous_fleet(2, 10);
+  SlotWeights w;
+  w.V = 1.0;
+  w.beta = 0.01;
+  w.gamma = 0.9;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double rate = fleet.group(1).spec().level(3).service_rate;
+  struct Case {
+    std::string name;
+    double active;
+    double load;
+    bool inside;
+  };
+  const std::vector<Case> cases = {
+      {"active 0", 0.0, 0.0, true},
+      {"active -5e-7", -5e-7, 0.0, false},
+      {"active count", 10.0, 0.0, true},
+      {"active count * (1 + 5e-10)", 10.0 * (1.0 + 5e-10), 0.0, true},
+      {"active count * (1 + 5e-7)", 10.0 * (1.0 + 5e-7), 0.0, false},
+      {"load 0", 2.0, 0.0, true},
+      {"load -5e-7", 2.0, -5e-7, false},
+      {"idle load 0", 0.0, 0.0, true},
+      {"idle load 5e-7", 0.0, 5e-7, false},
+      {"per-server load rate * (1 + 5e-10)", 1e-7,
+       1e-7 * rate * (1.0 + 5e-10), true},
+      {"per-server load rate * (1 + 5e-9)", 1e-7, 1e-7 * rate * (1.0 + 5e-9),
+       false},
+      {"active NaN", nan, 0.0, false},
+      {"active +inf", inf, 0.0, false},
+      {"active -inf", -inf, 0.0, false},
+      {"load NaN", 2.0, nan, false},
+      {"load +inf", 2.0, inf, false},
+      {"load -inf", 2.0, -inf, false},
+      {"active and load NaN", nan, nan, false},
+  };
+  for (const Case& c : cases) {
+    dc::Allocation alloc(2);
+    alloc[0] = {3, 4.0, 20.0};
+    alloc[1] = {3, c.active, c.load};
+    // Lambda matches whatever the allocation serves, so only the group's
+    // own check can reject it.
+    const SlotInput input{dc::total_load(alloc), 0.0, 0.06};
+    SlotOutcome got;
+    ASSERT_NO_THROW(got = evaluate(fleet, alloc, input, w)) << c.name;
+    if (c.inside) {
+      expect_object_model(fleet, alloc, input, w, got, c.name);
+      continue;
+    }
+    EXPECT_FALSE(got.feasible) << c.name;
+    EXPECT_EQ(got.infeasible_reason.rfind("group 1: ", 0), 0u)
+        << c.name << ": " << got.infeasible_reason;
+    EXPECT_THROW(dc::it_power_kw(fleet, alloc), std::domain_error) << c.name;
+  }
+
+  // A non-finite lambda never matches the served load.
+  dc::Allocation alloc(2);
+  alloc[0] = {3, 4.0, 20.0};
+  for (const double lambda : {nan, inf, -inf}) {
+    SlotOutcome got;
+    ASSERT_NO_THROW(got = evaluate(fleet, alloc, {lambda, 0.0, 0.06}, w))
+        << lambda;
+    EXPECT_FALSE(got.feasible) << lambda;
+    EXPECT_EQ(got.infeasible_reason,
+              "served load does not match lambda (constraint 8)")
+        << lambda;
+  }
 }
 
 }  // namespace
