@@ -87,11 +87,6 @@ double Metrics::average_cost() const {
   return total_cost() / static_cast<double>(slots_.size());
 }
 
-double Metrics::average_brown_kwh() const {
-  if (slots_.empty()) return 0.0;
-  return total_brown_kwh() / static_cast<double>(slots_.size());
-}
-
 std::vector<double> Metrics::cost_series() const {
   std::vector<double> out;
   out.reserve(slots_.size());

@@ -64,8 +64,6 @@ class Metrics {
   std::size_t shed_slot_count() const;
   /// Average hourly cost (the paper's g-bar plus any REC spend).
   double average_cost() const;
-  /// Average hourly brown energy.
-  double average_brown_kwh() const;
 
   /// Extract per-slot series for plotting/analysis.
   std::vector<double> cost_series() const;

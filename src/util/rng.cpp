@@ -107,11 +107,6 @@ std::uint64_t Rng::poisson(double mean) {
   return sample <= 0.0 ? 0ULL : static_cast<std::uint64_t>(sample + 0.5);
 }
 
-double Rng::weibull(double shape, double scale) {
-  const double u = 1.0 - uniform();  // (0, 1]
-  return scale * std::pow(-std::log(u), 1.0 / shape);
-}
-
 double Rng::lognormal(double mu, double sigma) {
   return std::exp(normal(mu, sigma));
 }

@@ -52,8 +52,6 @@ class Rng {
   /// Poisson-distributed count with given mean (Knuth for small means,
   /// normal approximation beyond 64 to stay O(1)).
   std::uint64_t poisson(double mean);
-  /// Weibull with shape k and scale lambda.
-  double weibull(double shape, double scale);
   /// Log-normal parameterized by the underlying normal's mu and sigma.
   double lognormal(double mu, double sigma);
 

@@ -43,51 +43,4 @@ BisectionResult bisect(const std::function<double(double)>& f, double lo,
   return result;
 }
 
-BisectionResult bisect_with_expansion(const std::function<double(double)>& f,
-                                      double lo, double hi_initial,
-                                      double hi_limit,
-                                      const BisectionOptions& options) {
-  const double flo = f(lo);
-  double hi = hi_initial;
-  double fhi = f(hi);
-  int expansions = 0;
-  while (flo * fhi > 0.0 && hi < hi_limit && expansions < 128) {
-    hi = std::min(hi * 2.0, hi_limit);
-    fhi = f(hi);
-    ++expansions;
-  }
-  return bisect(f, lo, hi, options);
-}
-
-MinimizeResult golden_section_minimize(const std::function<double(double)>& f,
-                                       double lo, double hi, double x_tol,
-                                       int max_iterations) {
-  constexpr double kInvPhi = 0.6180339887498949;  // 1/phi
-  double a = lo;
-  double b = hi;
-  double x1 = b - kInvPhi * (b - a);
-  double x2 = a + kInvPhi * (b - a);
-  double f1 = f(x1);
-  double f2 = f(x2);
-  int iter = 0;
-  while (iter < max_iterations && (b - a) > x_tol) {
-    ++iter;
-    if (f1 <= f2) {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - kInvPhi * (b - a);
-      f1 = f(x1);
-    } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + kInvPhi * (b - a);
-      f2 = f(x2);
-    }
-  }
-  const double x = 0.5 * (a + b);
-  return {x, f(x), iter};
-}
-
 }  // namespace coca::util

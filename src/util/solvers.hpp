@@ -1,8 +1,8 @@
 #pragma once
-// Scalar solvers shared by the optimization layer: bisection root-finding on
-// monotone functions and golden-section minimization of unimodal functions.
-// These are the only numeric primitives the whole optimization stack needs —
-// every dual problem in this repository reduces to a monotone scalar equation.
+// Scalar root-finding shared by the optimization layer: bisection on
+// monotone functions.  It is the only numeric primitive the whole
+// optimization stack needs — every dual problem in this repository reduces
+// to a monotone scalar equation.
 
 #include <functional>
 
@@ -26,25 +26,5 @@ struct BisectionOptions {
 /// closer endpoint is returned with converged=false.
 BisectionResult bisect(const std::function<double(double)>& f, double lo,
                        double hi, const BisectionOptions& options = {});
-
-/// Expand [lo, hi] upward (geometrically) until f changes sign or the limit
-/// is reached, then bisect.  Used when the dual variable's upper bound is not
-/// known a priori.
-BisectionResult bisect_with_expansion(const std::function<double(double)>& f,
-                                      double lo, double hi_initial,
-                                      double hi_limit,
-                                      const BisectionOptions& options = {});
-
-struct MinimizeResult {
-  double x = 0.0;
-  double fx = 0.0;
-  int iterations = 0;
-};
-
-/// Golden-section search for the minimizer of a unimodal f on [lo, hi].
-MinimizeResult golden_section_minimize(const std::function<double(double)>& f,
-                                       double lo, double hi,
-                                       double x_tol = 1e-9,
-                                       int max_iterations = 200);
 
 }  // namespace coca::util

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace coca::util {
 
@@ -105,19 +104,6 @@ double autocorrelation(std::span<const double> series, std::size_t lag) {
   if (series.size() <= lag + 1) return 0.0;
   return correlation(series.subspan(0, series.size() - lag),
                      series.subspan(lag));
-}
-
-double max_relative_error(std::span<const double> a, std::span<const double> b,
-                          double eps) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("max_relative_error: size mismatch");
-  }
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double denom = std::max(std::abs(b[i]), eps);
-    worst = std::max(worst, std::abs(a[i] - b[i]) / denom);
-  }
-  return worst;
 }
 
 }  // namespace coca::util

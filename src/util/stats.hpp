@@ -61,8 +61,4 @@ double correlation(std::span<const double> a, std::span<const double> b);
 /// Lag-k autocorrelation of a series (0 if degenerate).
 double autocorrelation(std::span<const double> series, std::size_t lag);
 
-/// Element-wise relative difference max |a-b| / max(|b|, eps).
-double max_relative_error(std::span<const double> a, std::span<const double> b,
-                          double eps = 1e-12);
-
 }  // namespace coca::util

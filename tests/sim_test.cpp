@@ -57,7 +57,6 @@ TEST(Metrics, AccountingIdentities) {
   EXPECT_DOUBLE_EQ(m.total_delay_cost(), 3.0);
   EXPECT_DOUBLE_EQ(m.average_cost(), 21.0);
   EXPECT_DOUBLE_EQ(m.total_brown_kwh(), 300.0);
-  EXPECT_DOUBLE_EQ(m.average_brown_kwh(), 100.0);
   EXPECT_EQ(m.cost_series().size(), 3u);
 }
 

@@ -148,13 +148,6 @@ TEST(Rng, PoissonZeroMean) {
   EXPECT_EQ(rng.poisson(-1.0), 0u);
 }
 
-TEST(Rng, WeibullShapeOneIsExponential) {
-  Rng rng(19);
-  RunningStats stats;
-  for (int i = 0; i < 100000; ++i) stats.add(rng.weibull(1.0, 4.0));
-  EXPECT_NEAR(stats.mean(), 4.0, 0.1);
-}
-
 TEST(Rng, LognormalMedian) {
   Rng rng(20);
   std::vector<double> samples;

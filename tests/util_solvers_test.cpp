@@ -1,5 +1,5 @@
-// Tests for the scalar solvers: bisection (the workhorse of every dual
-// problem in the repository) and golden-section minimization.
+// Tests for the scalar solver: bisection, the workhorse of every dual
+// problem in the repository.
 
 #include "util/solvers.hpp"
 
@@ -59,38 +59,6 @@ TEST(Bisect, StepFunctionConvergesToJump) {
   const auto r = bisect([](double x) { return x < 2.5 ? -1.0 : 1.0; }, 0.0,
                         10.0);
   EXPECT_NEAR(r.x, 2.5, 1e-6);
-}
-
-TEST(BisectWithExpansion, GrowsUpperBound) {
-  const auto r = bisect_with_expansion(
-      [](double x) { return x - 1000.0; }, 0.0, 1.0, 1e9);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.x, 1000.0, 1e-5);
-}
-
-TEST(BisectWithExpansion, HitsLimitGracefully) {
-  const auto r = bisect_with_expansion(
-      [](double x) { return x - 1000.0; }, 0.0, 1.0, 10.0);
-  EXPECT_FALSE(r.converged);
-}
-
-TEST(GoldenSection, QuadraticMinimum) {
-  const auto r = golden_section_minimize(
-      [](double x) { return (x - 3.0) * (x - 3.0) + 2.0; }, -10.0, 10.0);
-  EXPECT_NEAR(r.x, 3.0, 1e-6);
-  EXPECT_NEAR(r.fx, 2.0, 1e-10);
-}
-
-TEST(GoldenSection, BoundaryMinimum) {
-  const auto r =
-      golden_section_minimize([](double x) { return x; }, 2.0, 5.0);
-  EXPECT_NEAR(r.x, 2.0, 1e-6);
-}
-
-TEST(GoldenSection, NonSymmetricUnimodal) {
-  const auto r = golden_section_minimize(
-      [](double x) { return std::exp(x) - 3.0 * x; }, 0.0, 4.0);
-  EXPECT_NEAR(r.x, std::log(3.0), 1e-6);
 }
 
 }  // namespace

@@ -121,17 +121,5 @@ TEST(Autocorrelation, PeriodicSignal) {
   EXPECT_LT(autocorrelation(signal, 12), -0.95);
 }
 
-TEST(MaxRelativeError, MatchesHandComputation) {
-  const std::vector<double> a = {1.0, 2.2};
-  const std::vector<double> b = {1.0, 2.0};
-  EXPECT_NEAR(max_relative_error(a, b), 0.1, 1e-12);
-}
-
-TEST(MaxRelativeError, ThrowsOnSizeMismatch) {
-  const std::vector<double> a = {1.0};
-  const std::vector<double> b = {1.0, 2.0};
-  EXPECT_THROW(max_relative_error(a, b), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace coca::util
