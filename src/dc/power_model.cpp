@@ -1,6 +1,6 @@
 #include "dc/power_model.hpp"
 
-#include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -27,9 +27,15 @@ const char* domain_violation(const Fleet& fleet, std::size_t g,
   if (a.active == 0.0) {
     return a.load > 0.0 ? "load with no active servers" : nullptr;
   }
+  // ServerSpec::power_kw's check, per-server load <= rate * (1 + 1e-9).  A
+  // load within the product active * rate passes it without the division
+  // whenever that product is normal: it then errs by at most half an ulp,
+  // far inside the 1e-9 tolerance.
   const FleetTables& tables = fleet.tables();
   const double rate = tables.rate[tables.level_offset[g] + a.level];
-  if (!(a.load / a.active <= rate * (1.0 + 1e-9))) {
+  const double full = a.active * rate;
+  if (!((a.load <= full && std::isnormal(full)) ||
+        a.load / a.active <= rate * (1.0 + 1e-9))) {
     return "per-server load above the service rate";
   }
   return nullptr;
