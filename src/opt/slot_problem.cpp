@@ -8,9 +8,8 @@ namespace coca::opt {
 SlotOutcome evaluate(const dc::Fleet& fleet, const dc::Allocation& alloc,
                      const SlotInput& input, const SlotWeights& weights) {
   SlotOutcome out;
-  std::string why;
-  if (!dc::allocation_feasible(fleet, alloc, weights.gamma, &why)) {
-    out.infeasible_reason = why;
+  if (!dc::allocation_feasible(fleet, alloc, weights.gamma,
+                               &out.infeasible_reason)) {
     return out;
   }
   // Written so that a NaN or infinite lambda fails it.
