@@ -19,14 +19,16 @@ std::size_t ladder_size(const FleetTables& tables, std::size_t g) {
 /// level must lie in its ladder.
 const char* domain_violation(const Fleet& fleet, std::size_t g,
                              const GroupAllocation& a) {
-  if (!(a.active >= 0.0 &&
+  if (a.active == 0.0) {
+    if (a.load == 0.0) return nullptr;
+    return a.load > 0.0 ? "load with no active servers"
+                        : "negative or NaN load";
+  }
+  if (!(a.active > 0.0 &&
         a.active <= fleet.server_counts()[g] * (1.0 + 1e-9))) {
     return "active outside [0, count]";
   }
   if (!(a.load >= 0.0)) return "negative or NaN load";
-  if (a.active == 0.0) {
-    return a.load > 0.0 ? "load with no active servers" : nullptr;
-  }
   const FleetTables& tables = fleet.tables();
   const double rate = tables.rate[tables.level_offset[g] + a.level];
   if (!(a.load / a.active <= rate * (1.0 + 1e-9))) {
