@@ -15,6 +15,9 @@
 // expressions.  The certified market clearing is checked on its own: its
 // rounding margin covers crafted worst-case sums, large fleets of a few
 // entries stay bit-exact, and a GSD chain certifies most bisection steps.
+// Both sides score through one table-driven opt::evaluate, so the
+// Evaluate tests check it against the object model (ServerGroup::power_kw
+// and delay_cost) bit for bit, and check the power model's domain edges.
 //
 // All randomness is seeded through util::Rng (see tools/lint_determinism.py):
 // every run of this binary executes the exact same solve sequence.
