@@ -1,6 +1,5 @@
 #include "dc/power_model.hpp"
 
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -81,29 +80,17 @@ bool allocation_feasible(const Fleet& fleet, const Allocation& alloc,
   if (alloc.size() != fleet.group_count()) return fail("group count mismatch");
   if (!(gamma > 0.0 && gamma < 1.0)) return fail("gamma outside (0, 1)");
   const FleetTables& tables = fleet.tables();
-  const std::vector<double>& servers = fleet.server_counts();
   constexpr double kTol = 1e-6;
   for (std::size_t g = 0; g < alloc.size(); ++g) {
     const auto& a = alloc[g];
     if (a.level >= ladder_size(tables, g)) {
       return fail("group " + std::to_string(g) + ": bad level");
     }
-    const double rate = tables.rate[tables.level_offset[g] + a.level];
-    const double cap = gamma * rate * a.active;
-    // A load within a normal gamma-capped capacity passes both checks below,
-    // so it skips the domain check's division: that capacity is positive,
-    // so servers are active, and at most active * rate (gamma < 1) to
-    // within an ulp, so the per-server load is within the rate's 1e-9
-    // tolerance.  NaN never takes this path.
-    if (a.load >= 0.0 && a.load <= cap &&
-        cap >= std::numeric_limits<double>::min() &&
-        cap <= std::numeric_limits<double>::max() &&
-        a.active <= servers[g] * (1.0 + 1e-9)) {
-      continue;
-    }
     if (const char* reason = domain_violation(fleet, g, a)) {
       return fail("group " + std::to_string(g) + ": " + reason);
     }
+    const double rate = tables.rate[tables.level_offset[g] + a.level];
+    const double cap = gamma * rate * a.active;
     if (a.load > cap * (1.0 + 1e-6) + kTol) {
       std::ostringstream msg;
       msg << "group " << g << ": load " << a.load

@@ -981,26 +981,19 @@ TEST(Evaluate, OutsideThePowerModelsDomainIsInfeasibleNotAThrow) {
   // outcome naming the group, never a throw, and dc::it_power_kw rejects the
   // same allocation with std::domain_error.  Just outside the edges the old
   // 1e-6 slack let these allocations through to the power model, which
-  // threw, and NaN slipped through to a feasible NaN cost.  The last two
-  // allocation cases defeat the feasibility check's division-free path: a
-  // subnormal capacity that rounds up past active * rate (gamma 0.995 is
-  // close enough to 1 for that), and a capacity that overflows to +inf.
+  // threw, and NaN slipped through to a feasible NaN cost.
   const dc::Fleet fleet = dc::make_homogeneous_fleet(2, 10);
   SlotWeights w;
   w.V = 1.0;
   w.beta = 0.01;
-  w.gamma = 0.995;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   const double rate = fleet.group(1).spec().level(3).service_rate;
-  const double tiny = 3.0 * std::numeric_limits<double>::denorm_min();
-  const double slow = fleet.group(1).spec().level(0).service_rate;
   struct Case {
     std::string name;
     double active;
     double load;
     bool inside;
-    std::size_t level = 3;
   };
   const std::vector<Case> cases = {
       {"active 0", 0.0, 0.0, true},
@@ -1023,12 +1016,11 @@ TEST(Evaluate, OutsideThePowerModelsDomainIsInfeasibleNotAThrow) {
       {"load +inf", 2.0, inf, false},
       {"load -inf", 2.0, -inf, false},
       {"active and load NaN", nan, nan, false},
-      {"subnormal active * rate", tiny, tiny * slow, false, 0},
   };
   for (const Case& c : cases) {
     dc::Allocation alloc(2);
     alloc[0] = {3, 4.0, 20.0};
-    alloc[1] = {c.level, c.active, c.load};
+    alloc[1] = {3, c.active, c.load};
     // Lambda matches whatever the allocation serves, so only the group's
     // own check can reject it.
     const SlotInput input{dc::total_load(alloc), 0.0, 0.06};
@@ -1042,19 +1034,6 @@ TEST(Evaluate, OutsideThePowerModelsDomainIsInfeasibleNotAThrow) {
     EXPECT_EQ(got.infeasible_reason.rfind("group 1: ", 0), 0u)
         << c.name << ": " << got.infeasible_reason;
     EXPECT_THROW(dc::it_power_kw(fleet, alloc), std::domain_error) << c.name;
-  }
-  {
-    // 1e10 servers of rate 1e300: the capacity overflows, and an infinite
-    // load lies outside the domain all the same.
-    const dc::Fleet huge({dc::ServerGroup(
-        dc::ServerSpec("huge", 0.1, {{1.0, 1e300, 0.1}}), 10'000'000'000)});
-    const dc::Allocation alloc = {{0, 1e10, inf}};
-    SlotOutcome got;
-    ASSERT_NO_THROW(got = evaluate(huge, alloc, {inf, 0.0, 0.06}, w));
-    EXPECT_FALSE(got.feasible);
-    EXPECT_EQ(got.infeasible_reason.rfind("group 0: ", 0), 0u)
-        << got.infeasible_reason;
-    EXPECT_THROW(dc::it_power_kw(huge, alloc), std::domain_error);
   }
 
   // A non-finite lambda never matches the served load.
