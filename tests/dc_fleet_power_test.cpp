@@ -1,5 +1,6 @@
-// Tests for fleet assembly, the fleet's level tables and server types, and
-// the fleet-level power/electricity model (Eqs. 2-3).
+// Tests for fleet assembly, the fleet's level tables and server types, the
+// fleet-level power model (Eq. 2) and the slot's electricity bill (Eq. 3)
+// as opt::evaluate computes it.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "dc/power_model.hpp"
+#include "opt/slot_problem.hpp"
 
 namespace coca::dc {
 namespace {
@@ -83,15 +85,22 @@ TEST_F(PowerModelTest, BrownPowerClampsAtZero) {
 }
 
 TEST_F(PowerModelTest, ElectricityCostEquation3) {
-  // w * [p - r]^+ * h, as opt::evaluate composes it from the typed layer.
-  const auto cost = [](double price, double facility_kw, double onsite_kw,
-                       double slot_hours) {
-    return (brown_power(units::kw(facility_kw), units::kw(onsite_kw)) *
-            units::hours(slot_hours) * units::usd_per_kwh(price))
-        .value();
-  };
-  EXPECT_NEAR(cost(0.05, 100.0, 30.0, 1.0), 3.5, 1e-12);
-  EXPECT_DOUBLE_EQ(cost(0.05, 20.0, 30.0, 1.0), 0.0);
+  // w * [p - r]^+ * h, as opt::evaluate bills a slot: ten idle servers of
+  // 10 kW draw 100 kW; 30 kW on site leaves 70 kWh at 0.05 $/kWh, and
+  // 130 kW on site covers the slot.
+  const Fleet flat({ServerGroup(ServerSpec("flat", 10.0, {{1.0, 10.0, 1.0}}),
+                                10)});
+  const Allocation idle = {{0, 10.0, 0.0}};
+  const opt::SlotWeights weights;
+  const auto grid = opt::evaluate(flat, idle, {0.0, 30.0, 0.05}, weights);
+  ASSERT_TRUE(grid.feasible) << grid.infeasible_reason;
+  EXPECT_NEAR(grid.facility_power_kw, 100.0, 1e-12);
+  EXPECT_NEAR(grid.brown_kwh, 70.0, 1e-12);
+  EXPECT_NEAR(grid.electricity_cost, 3.5, 1e-12);
+  const auto covered = opt::evaluate(flat, idle, {0.0, 130.0, 0.05}, weights);
+  ASSERT_TRUE(covered.feasible) << covered.infeasible_reason;
+  EXPECT_EQ(covered.brown_kwh, 0.0);
+  EXPECT_EQ(covered.electricity_cost, 0.0);
 }
 
 TEST_F(PowerModelTest, TotalsHelpers) {
