@@ -53,24 +53,25 @@ void apply_decision(GroupSim& group, const dc::ServerGroup& hardware,
 
 }  // namespace
 
+void append_json_line(std::string& out, const DesSlotTrace& slot) {
+  const auto field = [&out](const char* key, auto value) {
+    out += key;
+    obs::append_json_number(out, value);
+  };
+  field("{\"t\":", static_cast<std::int64_t>(slot.t));
+  field(",\"arrivals\":", static_cast<std::int64_t>(slot.arrivals));
+  field(",\"completions\":", static_cast<std::int64_t>(slot.completions));
+  field(",\"in_flight\":", static_cast<std::int64_t>(slot.in_flight));
+  field(",\"p50_s\":", slot.p50_s);
+  field(",\"p99_s\":", slot.p99_s);
+  field(",\"p999_s\":", slot.p999_s);
+  out += '}';
+}
+
 std::string to_json_line(const DesSlotTrace& slot) {
   std::string out;
   out.reserve(160);
-  const auto field = [&out](const char* key, const std::string& value) {
-    out += key;
-    out += value;
-  };
-  field("{\"t\":", obs::json_number(static_cast<std::int64_t>(slot.t)));
-  field(",\"arrivals\":",
-        obs::json_number(static_cast<std::int64_t>(slot.arrivals)));
-  field(",\"completions\":",
-        obs::json_number(static_cast<std::int64_t>(slot.completions)));
-  field(",\"in_flight\":",
-        obs::json_number(static_cast<std::int64_t>(slot.in_flight)));
-  field(",\"p50_s\":", obs::json_number(slot.p50_s));
-  field(",\"p99_s\":", obs::json_number(slot.p99_s));
-  field(",\"p999_s\":", obs::json_number(slot.p999_s));
-  out += '}';
+  append_json_line(out, slot);
   return out;
 }
 

@@ -67,8 +67,12 @@ struct DesSlotTrace {
   double p999_s = 0.0;
 };
 
-/// Render one record as a single JSON line (fixed key order, std::to_chars
-/// number formatting — byte-identical across runs and thread counts).
+/// Append one record to `out` as a single JSON line (no trailing newline;
+/// fixed key order, std::to_chars number formatting — byte-identical across
+/// runs and thread counts).
+void append_json_line(std::string& out, const DesSlotTrace& slot);
+
+/// The same line, returned as a new string.
 std::string to_json_line(const DesSlotTrace& slot);
 
 struct ShardReplayResult {

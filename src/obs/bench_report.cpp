@@ -18,29 +18,29 @@ std::string BenchReport::to_json() const {
   std::string out = "{\n  \"schema\": \"";
   out += kBenchSchema;
   out += "\",\n  \"suite\": \"";
-  out += json_escape(suite_);
+  append_json_escaped(out, suite_);
   out += "\",\n  \"results\": [";
   bool first_result = true;
   for (const auto& result : results_) {
     out += first_result ? "\n" : ",\n";
     first_result = false;
     out += "    {\"name\": \"";
-    out += json_escape(result.name);
+    append_json_escaped(out, result.name);
     out += "\", \"wall_s\": ";
-    out += json_number(result.wall_s);
+    append_json_number(out, result.wall_s);
     out += ", \"evals_per_sec\": ";
-    out += json_number(result.evals_per_sec);
+    append_json_number(out, result.evals_per_sec);
     out += ", \"objective\": ";
-    out += json_number(result.objective);
+    append_json_number(out, result.objective);
     out += ", \"meta\": {";
     bool first_meta = true;
     for (const auto& [key, value] : result.meta) {
       if (!first_meta) out += ", ";
       first_meta = false;
       out += '"';
-      out += json_escape(key);
+      append_json_escaped(out, key);
       out += "\": ";
-      out += json_number(value);
+      append_json_number(out, value);
     }
     out += "}}";
   }

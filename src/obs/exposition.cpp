@@ -80,15 +80,19 @@ namespace {
 
 struct Family {
   const char* type = "gauge";
-  /// (sample name, rendered value), in append order.
-  std::vector<std::pair<std::string, std::string>> samples;
+  /// Rendered "sample value\n" lines, in append order.
+  std::string samples;
 };
 
+template <typename Number>
 void add_sample(std::map<std::string, Family>& families, std::string family,
-                const char* type, std::string sample, std::string value) {
+                const char* type, std::string_view sample, Number value) {
   Family& entry = families[std::move(family)];
   entry.type = type;
-  entry.samples.emplace_back(std::move(sample), std::move(value));
+  entry.samples += sample;
+  entry.samples += ' ';
+  append_json_number(entry.samples, value);
+  entry.samples += '\n';
 }
 
 }  // namespace
@@ -105,31 +109,26 @@ std::string to_prometheus_text(const RegistrySnapshot& snapshot,
   for (const auto& [name, value] : snapshot.counters) {
     if (options.mask_timing && is_machine_instrument(name)) continue;
     const std::string family = prometheus_name(name) + "_total";
-    add_sample(families, family, "counter", family, json_number(value));
+    add_sample(families, family, "counter", family, value);
   }
   for (const auto& [name, gauge] : snapshot.gauges) {
     if (options.mask_timing && is_machine_instrument(name)) continue;
     const std::string family = prometheus_name(name);
-    add_sample(families, family, "gauge", family, json_number(gauge.value));
+    add_sample(families, family, "gauge", family, gauge.value);
     const std::string family_max = family + "_max";
-    add_sample(families, family_max, "gauge", family_max,
-               json_number(gauge.max));
+    add_sample(families, family_max, "gauge", family_max, gauge.max);
   }
   for (const auto& [name, hist] : snapshot.histograms) {
     // Count/sum render as a (quantile-free) summary; min/max, which
     // Prometheus summaries do not carry, become sibling gauge families.
     if (options.mask_timing && is_machine_instrument(name)) continue;
     const std::string family = prometheus_name(name);
-    add_sample(families, family, "summary", family + "_count",
-               json_number(hist.count));
-    add_sample(families, family, "summary", family + "_sum",
-               json_number(hist.sum));
+    add_sample(families, family, "summary", family + "_count", hist.count);
+    add_sample(families, family, "summary", family + "_sum", hist.sum);
     const std::string family_min = family + "_min";
-    add_sample(families, family_min, "gauge", family_min,
-               json_number(hist.min));
+    add_sample(families, family_min, "gauge", family_min, hist.min);
     const std::string family_max = family + "_max";
-    add_sample(families, family_max, "gauge", family_max,
-               json_number(hist.max));
+    add_sample(families, family_max, "gauge", family_max, hist.max);
   }
 
   std::string out;
@@ -140,12 +139,7 @@ std::string to_prometheus_text(const RegistrySnapshot& snapshot,
     out += ' ';
     out += family.type;
     out += '\n';
-    for (const auto& [sample, value] : family.samples) {
-      out += sample;
-      out += ' ';
-      out += value;
-      out += '\n';
-    }
+    out += family.samples;
   }
   return out;
 }
@@ -165,18 +159,18 @@ void append_prometheus_tail_histogram(std::string& out, std::string_view name,
     cumulative += counts[i];
     out += base;
     out += "_bucket{le=\"";
-    out += json_number(histogram.upper_edge(i));
+    append_json_number(out, histogram.upper_edge(i));
     out += "\"} ";
-    out += json_number(static_cast<std::int64_t>(cumulative));
+    append_json_number(out, static_cast<std::int64_t>(cumulative));
     out += '\n';
   }
   out += base;
   out += "_bucket{le=\"+Inf\"} ";
-  out += json_number(static_cast<std::int64_t>(histogram.total()));
+  append_json_number(out, static_cast<std::int64_t>(histogram.total()));
   out += '\n';
   out += base;
   out += "_count ";
-  out += json_number(static_cast<std::int64_t>(histogram.total()));
+  append_json_number(out, static_cast<std::int64_t>(histogram.total()));
   out += '\n';
 }
 

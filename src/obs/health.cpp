@@ -21,39 +21,36 @@ const char* to_string(HealthLevel level) {
   return "info";
 }
 
-std::string to_json_line(const HealthEvent& event) {
+void append_json_line(std::string& out, const HealthEvent& event) {
   // Fixed key order = the coca-health-v1 schema; golden comparisons rely on
   // byte-stable rendering.  Timing rules route their numbers through the
   // *_ms keys so obs::mask_timing_fields drops the whole event with the
   // other wall-clock readings (a timing rule's firing is itself
   // wall-clock-dependent, so masked comparisons must not see the line).
-  std::string out;
-  out.reserve(160);
   out += "{\"t\":";
-  out += json_number(static_cast<std::int64_t>(event.t));
+  append_json_number(out, static_cast<std::int64_t>(event.t));
   out += ",\"rule\":\"";
-  out += json_escape(event.rule);
+  append_json_escaped(out, event.rule);
   out += "\",\"level\":\"";
   out += to_string(event.level);
-  if (event.timing) {
-    out += "\",\"value_ms\":";
-    out += json_number(event.value);
-    out += ",\"limit_ms\":";
-    out += json_number(event.limit);
-  } else {
-    out += "\",\"value\":";
-    out += json_number(event.value);
-    out += ",\"limit\":";
-    out += json_number(event.limit);
-  }
+  out += event.timing ? "\",\"value_ms\":" : "\",\"value\":";
+  append_json_number(out, event.value);
+  out += event.timing ? ",\"limit_ms\":" : ",\"limit\":";
+  append_json_number(out, event.limit);
   out += ",\"expected\":";
   out += event.expected ? "true" : "false";
   if (!event.detail.empty()) {
     out += ",\"detail\":\"";
-    out += json_escape(event.detail);
+    append_json_escaped(out, event.detail);
     out += '"';
   }
   out += '}';
+}
+
+std::string to_json_line(const HealthEvent& event) {
+  std::string out;
+  out.reserve(160);
+  append_json_line(out, event);
   return out;
 }
 
@@ -127,7 +124,11 @@ void HealthMonitor::emit(std::size_t t, const char* rule, HealthLevel level,
       break;
   }
   ++stats_.by_rule[event.rule];
-  if (sink_ != nullptr) sink_->record_line(to_json_line(event));
+  if (sink_ != nullptr) {
+    line_.clear();
+    append_json_line(line_, event);
+    sink_->record_line(line_);
+  }
   events_.push_back(std::move(event));
 }
 

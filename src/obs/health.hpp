@@ -66,9 +66,13 @@ struct HealthEvent {
   std::string detail;
 };
 
-/// One JSON line, fixed key order, std::to_chars formatting.  Timing events
-/// serialize their value/limit under `value_ms`/`limit_ms`, which
-/// obs::mask_timing_fields zeroes alongside solve_ms.
+/// Append one JSON line (no trailing newline), fixed key order,
+/// std::to_chars formatting.  Timing events serialize their value/limit
+/// under `value_ms`/`limit_ms`, which obs::mask_timing_fields zeroes
+/// alongside solve_ms.
+void append_json_line(std::string& out, const HealthEvent& event);
+
+/// The same line, returned as a new string.
 std::string to_json_line(const HealthEvent& event);
 
 /// Constants of the Theorem 2(a) deterministic queue bound.  With b_max the
@@ -171,6 +175,7 @@ class HealthMonitor {
 
   HealthConfig config_;
   TraceSink* sink_;
+  std::string line_;  ///< each event renders here before it reaches sink_
   HealthStats stats_;
   std::vector<HealthEvent> events_;
   Ewma cost_;

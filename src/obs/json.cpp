@@ -9,9 +9,7 @@
 
 namespace coca::obs {
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
+void append_json_escaped(std::string& out, std::string_view text) {
   for (const char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -30,24 +28,51 @@ std::string json_escape(std::string_view text) {
         }
     }
   }
+}
+
+void append_json_number(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
+  std::array<char, 32> buffer;
+  const auto [end, ec] =
+      std::to_chars(buffer.data(), buffer.data() + buffer.size(), value);
+  if (ec != std::errc{}) {
+    out += "null";
+    return;
+  }
+  out.append(buffer.data(), end);
+}
+
+void append_json_number(std::string& out, std::int64_t value) {
+  std::array<char, 24> buffer;
+  const auto [end, ec] =
+      std::to_chars(buffer.data(), buffer.data() + buffer.size(), value);
+  if (ec != std::errc{}) {
+    out += '0';
+    return;
+  }
+  out.append(buffer.data(), end);
+}
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  append_json_escaped(out, text);
   return out;
 }
 
 std::string json_number(double value) {
-  if (!std::isfinite(value)) return "null";
-  std::array<char, 32> buffer{};
-  const auto [end, ec] =
-      std::to_chars(buffer.data(), buffer.data() + buffer.size(), value);
-  if (ec != std::errc{}) return "null";
-  return std::string(buffer.data(), end);
+  std::string out;
+  append_json_number(out, value);
+  return out;
 }
 
 std::string json_number(std::int64_t value) {
-  std::array<char, 24> buffer{};
-  const auto [end, ec] =
-      std::to_chars(buffer.data(), buffer.data() + buffer.size(), value);
-  if (ec != std::errc{}) return "0";
-  return std::string(buffer.data(), end);
+  std::string out;
+  append_json_number(out, value);
+  return out;
 }
 
 bool JsonValue::as_bool() const {

@@ -1,10 +1,12 @@
 #pragma once
 // Minimal deterministic JSON support for the observability layer.
 //
-// Writing: `json_number` renders doubles via std::to_chars (shortest
-// round-trip form), so emitted traces and BENCH files are byte-identical
-// across runs, thread counts and locales — a requirement for the golden
-// slot-trace test.  Reading: a small recursive-descent parser covering the
+// Writing: `append_json_number` renders doubles via std::to_chars (shortest
+// round-trip form) straight onto the caller's buffer, so emitted traces and
+// BENCH files are byte-identical across runs, thread counts and locales — a
+// requirement for the golden slot-trace test — and a hot renderer (slot
+// records, health events) allocates nothing per number.  `json_number` and
+// `json_escape` are the returning wrappers.  Reading: a small recursive-descent parser covering the
 // subset this repo emits (objects, arrays, strings, numbers, bools, null),
 // enough for tests to consume BENCH_*.json and JSONL traces as written.
 // No third-party dependency: the container image is frozen.
@@ -19,14 +21,19 @@
 
 namespace coca::obs {
 
-/// Escape a string for embedding between JSON quotes.
+/// Append `text` escaped for embedding between JSON quotes.
+void append_json_escaped(std::string& out, std::string_view text);
+
+/// Append the shortest round-trip decimal rendering of a double
+/// (std::to_chars).  Non-finite values render as null (JSON has no inf/nan).
+void append_json_number(std::string& out, double value);
+
+/// Append the exact rendering of an integer counter.
+void append_json_number(std::string& out, std::int64_t value);
+
+/// The same bytes as the append forms, returned as a new string.
 std::string json_escape(std::string_view text);
-
-/// Shortest round-trip decimal rendering of a double (std::to_chars).
-/// Non-finite values render as null (JSON has no inf/nan).
 std::string json_number(double value);
-
-/// Exact rendering of an integer counter.
 std::string json_number(std::int64_t value);
 
 class JsonValue {

@@ -34,13 +34,13 @@ std::string SpanProfiler::to_json() const {
     if (!first) out += ',';
     first = false;
     out += "{\"path\":\"";
-    out += json_escape(path);
+    append_json_escaped(out, path);
     out += "\",\"count\":";
-    out += json_number(stats.count);
+    append_json_number(out, stats.count);
     out += ",\"total_ms\":";
-    out += json_number(static_cast<double>(stats.total_ns) / 1e6);
+    append_json_number(out, static_cast<double>(stats.total_ns) / 1e6);
     out += ",\"self_ms\":";
-    out += json_number(static_cast<double>(stats.self_ns) / 1e6);
+    append_json_number(out, static_cast<double>(stats.self_ns) / 1e6);
     out += '}';
   }
   out += "]}";

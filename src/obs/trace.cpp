@@ -9,53 +9,63 @@
 
 namespace coca::obs {
 
-std::string to_json_line(const SlotTrace& slot) {
+void append_json_line(std::string& out, const SlotTrace& slot) {
   // Fixed key order = the schema; golden tests compare lines byte-for-byte.
   // Plain appends only (no `const char* + std::string` temporaries), which
   // keeps GCC 12's -Wrestrict false positive (PR105329) out of -Werror CI.
-  std::string out;
-  out.reserve(320);
-  const auto field = [&out](const char* key, const std::string& value) {
+  const auto field = [&out](const char* key, auto value) {
     out += key;
-    out += value;
+    append_json_number(out, value);
   };
-  field("{\"t\":", json_number(static_cast<std::int64_t>(slot.t)));
-  field(",\"lambda\":", json_number(slot.lambda));
-  field(",\"price\":", json_number(slot.price));
-  field(",\"onsite_kw\":", json_number(slot.onsite_kw));
-  field(",\"offsite_kwh\":", json_number(slot.offsite_kwh));
-  field(",\"q\":", json_number(slot.q));
-  field(",\"V\":", json_number(slot.v));
-  field(",\"active_servers\":", json_number(slot.active_servers));
-  field(",\"mean_speed_level\":", json_number(slot.mean_speed_level));
+  field("{\"t\":", static_cast<std::int64_t>(slot.t));
+  field(",\"lambda\":", slot.lambda);
+  field(",\"price\":", slot.price);
+  field(",\"onsite_kw\":", slot.onsite_kw);
+  field(",\"offsite_kwh\":", slot.offsite_kwh);
+  field(",\"q\":", slot.q);
+  field(",\"V\":", slot.v);
+  field(",\"active_servers\":", slot.active_servers);
+  field(",\"mean_speed_level\":", slot.mean_speed_level);
   out += ",\"feasible\":";
   out += slot.feasible ? "true" : "false";
-  field(",\"brown_kwh\":", json_number(slot.brown_kwh));
-  field(",\"electricity_cost\":", json_number(slot.electricity_cost));
-  field(",\"delay_cost\":", json_number(slot.delay_cost));
-  field(",\"rec_cost\":", json_number(slot.rec_cost));
-  field(",\"total_cost\":", json_number(slot.total_cost));
-  field(",\"evaluations\":", json_number(slot.evaluations));
-  field(",\"acceptance_rate\":", json_number(slot.acceptance_rate));
-  field(",\"chains\":", json_number(slot.chains));
-  field(",\"winning_chain\":", json_number(slot.winning_chain));
+  field(",\"brown_kwh\":", slot.brown_kwh);
+  field(",\"electricity_cost\":", slot.electricity_cost);
+  field(",\"delay_cost\":", slot.delay_cost);
+  field(",\"rec_cost\":", slot.rec_cost);
+  field(",\"total_cost\":", slot.total_cost);
+  field(",\"evaluations\":", slot.evaluations);
+  field(",\"acceptance_rate\":", slot.acceptance_rate);
+  field(",\"chains\":", slot.chains);
+  field(",\"winning_chain\":", slot.winning_chain);
   if (slot.fault_active) {
     // Fault fields appear only on perturbed slots, keeping fault-free
     // traces byte-identical to the pre-fault schema.
     out += ",\"degraded\":";
     out += slot.degraded ? "true" : "false";
-    field(",\"stale_inputs\":", json_number(slot.stale_inputs));
+    field(",\"stale_inputs\":", slot.stale_inputs);
     out += ",\"fallback\":";
     out += slot.fallback ? "true" : "false";
-    field(",\"shed_lambda\":", json_number(slot.shed_lambda));
+    field(",\"shed_lambda\":", slot.shed_lambda);
   }
-  field(",\"solve_ms\":", json_number(slot.solve_ms));
+  field(",\"solve_ms\":", slot.solve_ms);
   out += '}';
+}
+
+std::string to_json_line(const SlotTrace& slot) {
+  std::string out;
+  out.reserve(320);
+  append_json_line(out, slot);
   return out;
 }
 
 void SlotTraceWriter::write_jsonl(std::ostream& out) const {
-  for (const auto& slot : slots_) out << to_json_line(slot) << '\n';
+  std::string rendered;
+  for (const auto& slot : slots_) {
+    rendered.clear();
+    append_json_line(rendered, slot);
+    rendered += '\n';
+    out << rendered;
+  }
   for (const auto& line : lines_) out << line << '\n';
   if (!footer_.empty()) out << footer_ << '\n';
 }

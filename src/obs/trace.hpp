@@ -63,8 +63,11 @@ struct SlotTrace {
   double solve_ms = 0.0;
 };
 
-/// Render one record as a single JSON line (no trailing newline), with a
-/// fixed key order and std::to_chars number formatting.
+/// Append one record to `out` as a single JSON line (no trailing newline),
+/// with a fixed key order and std::to_chars number formatting.
+void append_json_line(std::string& out, const SlotTrace& slot);
+
+/// The same line, returned as a new string.
 std::string to_json_line(const SlotTrace& slot);
 
 /// Where slot records go.  The simulator only depends on this interface, so

@@ -5,7 +5,10 @@
 //     "obs.trace_dropped" counter) while a gated writer holds the ring full,
 //   * flush() makes everything recorded so far visible without destruction,
 //   * destruction during exception unwinding still leaves a complete trace,
-//   * ring high-water tracking and file-sink round-trip.
+//   * ring high-water tracking and file-sink round-trip,
+//   * the batched hand-off: far fewer stream writes than lines, lines below
+//     the batch threshold reach the stream at flush() and at destruction,
+//     and the lines held never exceed ring_capacity under a gated writer.
 
 #include "obs/async_sink.hpp"
 
@@ -18,6 +21,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -221,6 +225,132 @@ TEST(AsyncTraceSink, FileSinkRoundTrips) {
 TEST(AsyncTraceSink, FileSinkThrowsWhenUnopenable) {
   EXPECT_THROW(AsyncTraceSink("/nonexistent-dir/trace.jsonl"),
                std::runtime_error);
+}
+
+/// A streambuf that keeps what it is given and counts the calls that gave
+/// it bytes, so a test can tell per-line writes from batched ones.
+class CountingBuf : public std::streambuf {
+ public:
+  std::string text() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return text_;
+  }
+  std::size_t writes() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return writes_;
+  }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++writes_;
+    if (ch != traits_type::eof()) text_ += traits_type::to_char_type(ch);
+    return ch;
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++writes_;
+    text_.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::string text_;
+  std::size_t writes_ = 0;
+};
+
+TEST(AsyncTraceSink, WritesWholeBatchesNotLines) {
+  const auto slots = sample_slots(4096);
+  CountingBuf buf;
+  std::ostream out(&buf);
+  {
+    AsyncTraceSink sink(out);
+    for (const auto& slot : slots) sink.record(slot);
+  }
+  EXPECT_EQ(buf.text(), sync_jsonl(slots));
+  // One write per batch of up to half the ring's 1024 lines or 64 KiB; a
+  // per-line writer makes at least 4096.
+  EXPECT_LE(buf.writes(), slots.size() / 16);
+}
+
+TEST(AsyncTraceSink, LinesBelowTheBatchReachTheStreamAtFlushAndDestruction) {
+  const auto slots = sample_slots(12);
+  const std::vector<SlotTrace> first(slots.begin(), slots.begin() + 5);
+  CountingBuf buf;
+  std::ostream out(&buf);
+  {
+    AsyncTraceSink sink(out);
+    for (const auto& slot : first) sink.record(slot);
+    sink.record_line("{\"rule\":\"degraded_mode\"}");
+    // Six lines of a 512-line batch: the writer has not been woken.
+    EXPECT_EQ(buf.writes(), 0u);
+    sink.flush();
+    std::string expected = sync_jsonl(first) + "{\"rule\":\"degraded_mode\"}\n";
+    EXPECT_EQ(buf.text(), expected);
+    for (std::size_t t = 5; t < slots.size(); ++t) sink.record(slots[t]);
+    sink.set_footer("{\"footer\":true}");
+  }
+  std::string expected = sync_jsonl(first) + "{\"rule\":\"degraded_mode\"}\n";
+  for (std::size_t t = 5; t < slots.size(); ++t) {
+    expected += to_json_line(slots[t]) + "\n";
+  }
+  EXPECT_EQ(buf.text(), expected + "{\"footer\":true}\n");
+}
+
+TEST(AsyncTraceSink, HighWaterNeverExceedsRingCapacityUnderAGatedWriter) {
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{2},
+                                     std::size_t{3}, std::size_t{1024}}) {
+    const auto slots = sample_slots(3 * capacity + 5);
+    AsyncSinkOptions options;
+    options.ring_capacity = capacity;
+
+    // kDropNewest: the producer never waits; the gated writer holds its
+    // batch, so exactly ring_capacity lines are held and the rest dropped.
+    {
+      GatedBuf buf;
+      std::ostream out(&buf);
+      options.policy = Backpressure::kDropNewest;
+      std::int64_t dropped = 0;
+      {
+        AsyncTraceSink sink(out, options);
+        buf.close_gate();
+        for (const auto& slot : slots) sink.record(slot);
+        EXPECT_EQ(sink.high_water(), capacity) << capacity;
+        dropped = sink.dropped();
+        EXPECT_EQ(dropped, static_cast<std::int64_t>(slots.size() - capacity))
+            << capacity;
+        buf.open_gate();
+      }
+      std::istringstream written(buf.text());
+      std::string line;
+      std::int64_t lines = 0;
+      while (std::getline(written, line)) ++lines;
+      EXPECT_EQ(lines + dropped, static_cast<std::int64_t>(slots.size()));
+    }
+
+    // kBlock: the producer stalls once the sink holds ring_capacity lines;
+    // opening the gate lets every record through, in order.
+    {
+      GatedBuf buf;
+      std::ostream out(&buf);
+      options.policy = Backpressure::kBlock;
+      {
+        AsyncTraceSink sink(out, options);
+        buf.close_gate();
+        std::thread producer([&] {
+          for (const auto& slot : slots) sink.record(slot);
+        });
+        while (sink.high_water() < capacity) std::this_thread::yield();
+        EXPECT_EQ(sink.high_water(), capacity) << capacity;
+        buf.open_gate();
+        producer.join();
+        EXPECT_EQ(sink.dropped(), 0);
+        EXPECT_LE(sink.high_water(), capacity) << capacity;
+      }
+      EXPECT_EQ(buf.text(), sync_jsonl(slots)) << capacity;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -143,6 +145,54 @@ TEST(ObsJson, EscapeAndNumberRendering) {
   EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
 }
 
+TEST(ObsJson, AppendFormsAppendExactlyTheReturnedBytes) {
+  // The append forms are the one formatter: onto a non-empty buffer they
+  // must add exactly json_number's / json_escape's bytes at every edge of
+  // the double and int64 ranges, and leave the prefix alone.
+  const std::string prefix = "{\"k\":";
+  const double kDoubles[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      DBL_MIN,
+      DBL_MAX,
+      -DBL_MAX,
+      0.1,
+      1e21,
+      1e-7,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+  };
+  for (const double value : kDoubles) {
+    std::string out = prefix;
+    append_json_number(out, value);
+    EXPECT_EQ(out, prefix + json_number(value)) << value;
+  }
+  EXPECT_EQ(json_number(-0.0), "-0");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::denorm_min()),
+            "5e-324");
+  EXPECT_EQ(json_number(1e21), "1e+21");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "null");
+  for (const std::int64_t value :
+       {std::numeric_limits<std::int64_t>::min(), std::int64_t{-1},
+        std::int64_t{0}, std::numeric_limits<std::int64_t>::max()}) {
+    std::string out = prefix;
+    append_json_number(out, value);
+    EXPECT_EQ(out, prefix + json_number(value)) << value;
+  }
+  EXPECT_EQ(json_number(std::numeric_limits<std::int64_t>::min()),
+            "-9223372036854775808");
+  EXPECT_EQ(json_number(std::numeric_limits<std::int64_t>::max()),
+            "9223372036854775807");
+  const std::string text = std::string("a\"b\\c\n\t\r") + '\x01' + "z";
+  std::string out = prefix;
+  append_json_escaped(out, text);
+  EXPECT_EQ(out, prefix + json_escape(text));
+  EXPECT_EQ(json_escape(text), "a\\\"b\\\\c\\n\\t\\r\\u0001z");
+}
+
 TEST(ObsJson, ParseRoundTrip) {
   const JsonValue doc = parse_json(
       R"({"s":"hi","n":2.5,"b":true,"z":null,"a":[1,2],"o":{"k":-3}})");
@@ -210,6 +260,59 @@ TEST(ObsTrace, JsonLineHasFixedKeyOrderAndParses) {
   EXPECT_DOUBLE_EQ(doc.at("q").as_double(), 42.0);
   EXPECT_DOUBLE_EQ(doc.at("rec_cost").as_double(), 0.25);
   EXPECT_DOUBLE_EQ(doc.at("solve_ms").as_double(), 1.5);
+}
+
+TEST(ObsTrace, ToJsonLineEqualsTheAppendForm) {
+  // Random records, with and without the fault fields; numbers drawn both
+  // as ordinary values and as raw bit patterns (NaN, inf, subnormals).
+  std::uint64_t state = 0x5eedULL;
+  const auto next = [&state] {
+    state += 0x9e3779b97f4a7c15ULL;  // SplitMix64
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  const auto number = [&next] {
+    const std::uint64_t bits = next();
+    if (bits % 2 == 0) return std::bit_cast<double>(next());
+    return static_cast<double>(bits % 100000) / 7.0;
+  };
+  const auto integer = [&next] { return std::bit_cast<std::int64_t>(next()); };
+  for (int i = 0; i < 500; ++i) {
+    SlotTrace slot;
+    slot.t = static_cast<std::size_t>(next() % 100000);
+    slot.lambda = number();
+    slot.price = number();
+    slot.onsite_kw = number();
+    slot.offsite_kwh = number();
+    slot.q = number();
+    slot.v = number();
+    slot.active_servers = number();
+    slot.mean_speed_level = number();
+    slot.feasible = next() % 2 == 0;
+    slot.brown_kwh = number();
+    slot.electricity_cost = number();
+    slot.delay_cost = number();
+    slot.rec_cost = number();
+    slot.total_cost = number();
+    slot.evaluations = integer();
+    slot.acceptance_rate = number();
+    slot.chains = integer();
+    slot.winning_chain = integer();
+    slot.fault_active = i % 2 == 1;
+    slot.degraded = next() % 2 == 0;
+    slot.stale_inputs = integer();
+    slot.fallback = next() % 2 == 0;
+    slot.shed_lambda = number();
+    slot.solve_ms = number();
+    const std::string line = to_json_line(slot);
+    std::string out = "prefix\n";
+    append_json_line(out, slot);
+    ASSERT_EQ(out, "prefix\n" + line) << "record " << i;
+    EXPECT_EQ(line.find("\"shed_lambda\"") != std::string::npos,
+              slot.fault_active);
+  }
 }
 
 TEST(ObsTrace, WriterEmitsOneLinePerSlotInOrder) {
