@@ -1,6 +1,7 @@
 #include "dc/server_spec.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace coca::dc {
@@ -10,14 +11,17 @@ ServerSpec::ServerSpec(std::string model, double static_power_kw,
     : model_(std::move(model)),
       static_power_kw_(static_power_kw),
       levels_(std::move(levels)) {
-  if (static_power_kw_ < 0.0) {
-    throw std::invalid_argument("ServerSpec: negative static power");
+  // Every check is written so that NaN fails it; ±inf fails isfinite.
+  if (!(std::isfinite(static_power_kw_) && static_power_kw_ >= 0.0)) {
+    throw std::invalid_argument(
+        "ServerSpec: static power must be finite and >= 0");
   }
   if (levels_.empty()) {
     throw std::invalid_argument("ServerSpec: need at least one speed level");
   }
   for (const auto& lv : levels_) {
-    if (lv.service_rate <= 0.0 || lv.dynamic_power_kw < 0.0) {
+    if (!(std::isfinite(lv.service_rate) && lv.service_rate > 0.0 &&
+          std::isfinite(lv.dynamic_power_kw) && lv.dynamic_power_kw >= 0.0)) {
       throw std::invalid_argument("ServerSpec: invalid level for " + model_);
     }
   }
@@ -48,8 +52,10 @@ double ServerSpec::dynamic_slope(std::size_t k) const {
 
 ServerSpec ServerSpec::scaled(std::string model, double speed_factor,
                               double power_factor) const {
-  if (speed_factor <= 0.0 || power_factor <= 0.0) {
-    throw std::invalid_argument("ServerSpec::scaled: factors must be positive");
+  if (!(std::isfinite(speed_factor) && speed_factor > 0.0 &&
+        std::isfinite(power_factor) && power_factor > 0.0)) {
+    throw std::invalid_argument(
+        "ServerSpec::scaled: factors must be finite and positive");
   }
   std::vector<SpeedLevel> levels = levels_;
   for (auto& lv : levels) {

@@ -18,6 +18,10 @@ double toggles_between(const Allocation& previous, const Allocation& next) {
 
 double switching_energy_kwh(const SwitchingModel& model,
                             const Allocation& previous, const Allocation& next) {
+  if (!std::isfinite(model.kwh_per_toggle)) {
+    throw std::invalid_argument(
+        "switching_energy_kwh: non-finite per-toggle cost");
+  }
   if (model.kwh_per_toggle < 0.0) {
     throw std::invalid_argument("switching_energy_kwh: negative per-toggle cost");
   }

@@ -99,5 +99,24 @@ TEST(Switching, Validation) {
   EXPECT_THROW(switching_energy_kwh({-1.0}, a, a), std::invalid_argument);
 }
 
+TEST(Switching, RejectsNonFinitePerToggleCost) {
+  // A NaN or ±inf per-toggle cost is refused where it is read, naming
+  // itself, instead of billing NaN switching energy into the deficit queue.
+  Allocation prev(1), next(1);
+  prev[0] = {3, 10.0, 0.0};
+  next[0] = {3, 4.0, 0.0};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    try {
+      switching_energy_kwh({bad}, prev, next);
+      ADD_FAILURE() << "accepted per-toggle cost " << bad;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_STREQ(error.what(),
+                   "switching_energy_kwh: non-finite per-toggle cost");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace coca::dc

@@ -60,12 +60,33 @@ TEST(ServerSpec, ScaledGeneration) {
   EXPECT_NEAR(old.static_power_kw(), 0.154, 1e-12);
   EXPECT_NEAR(old.level(3).dynamic_power_kw, 0.091 * 1.1, 1e-12);
   EXPECT_THROW(spec.scaled("bad", 0.0, 1.0), std::invalid_argument);
+  // Non-finite factors are refused, not turned into NaN or inf rates and
+  // powers; so is a finite factor whose product overflows (10 req/s times
+  // 1e308 is inf).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_THROW(spec.scaled("bad", bad, 1.0), std::invalid_argument);
+    EXPECT_THROW(spec.scaled("bad", 1.0, bad), std::invalid_argument);
+  }
+  EXPECT_THROW(spec.scaled("bad", 1e308, 1.0), std::invalid_argument);
 }
 
 TEST(ServerSpec, ConstructionValidation) {
   EXPECT_THROW(ServerSpec("x", -0.1, {{1.0, 1.0, 0.1}}), std::invalid_argument);
   EXPECT_THROW(ServerSpec("x", 0.1, {}), std::invalid_argument);
   EXPECT_THROW(ServerSpec("x", 0.1, {{1.0, 0.0, 0.1}}), std::invalid_argument);
+  // NaN and ±inf static power, service rate and dynamic power are refused.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_THROW(ServerSpec("x", bad, {{1.0, 1.0, 0.1}}),
+                 std::invalid_argument);
+    EXPECT_THROW(ServerSpec("x", 0.1, {{1.0, bad, 0.1}}),
+                 std::invalid_argument);
+    EXPECT_THROW(ServerSpec("x", 0.1, {{1.0, 1.0, bad}}),
+                 std::invalid_argument);
+  }
   // Levels must ascend by service rate.
   EXPECT_THROW(ServerSpec("x", 0.1, {{2.0, 5.0, 0.2}, {1.0, 3.0, 0.1}}),
                std::invalid_argument);
