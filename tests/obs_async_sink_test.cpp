@@ -13,6 +13,7 @@
 #include "obs/async_sink.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <condition_variable>
 #include <cstdio>
@@ -260,18 +261,30 @@ class CountingBuf : public std::streambuf {
   std::size_t writes_ = 0;
 };
 
+/// Voluntary context switches of every thread of this process so far.
+long voluntary_switches() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_nvcsw;
+}
+
 TEST(AsyncTraceSink, WritesWholeBatchesNotLines) {
   const auto slots = sample_slots(4096);
   CountingBuf buf;
   std::ostream out(&buf);
+  const long switches_before = voluntary_switches();
   {
     AsyncTraceSink sink(out);
     for (const auto& slot : slots) sink.record(slot);
   }
+  const long switches = voluntary_switches() - switches_before;
   EXPECT_EQ(buf.text(), sync_jsonl(slots));
   // One write per batch of up to half the ring's 1024 lines or 64 KiB; a
   // per-line writer makes at least 4096.
   EXPECT_LE(buf.writes(), slots.size() / 16);
+  // The writer sleeps between batches (about 20 switches in all here); a
+  // producer that wakes it for every line read about 285.
+  EXPECT_LE(switches, static_cast<long>(slots.size() / 64));
 }
 
 TEST(AsyncTraceSink, LinesBelowTheBatchReachTheStreamAtFlushAndDestruction) {
