@@ -51,7 +51,7 @@
 namespace coca::obs {
 
 enum class Backpressure {
-  kBlock,       ///< producer waits for a free slot — no record ever lost
+  kBlock,       ///< producer waits for room — no record ever lost
   kDropNewest,  ///< incoming record discarded and counted
 };
 

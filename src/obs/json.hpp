@@ -6,9 +6,10 @@
 // BENCH files are byte-identical across runs, thread counts and locales — a
 // requirement for the golden slot-trace test — and a hot renderer (slot
 // records, health events) allocates nothing per number.  `json_number` and
-// `json_escape` are the returning wrappers.  Reading: a small recursive-descent parser covering the
-// subset this repo emits (objects, arrays, strings, numbers, bools, null),
-// enough for tests to consume BENCH_*.json and JSONL traces as written.
+// `json_escape` are the returning wrappers.  Reading: a small
+// recursive-descent parser covering the subset this repo emits (objects,
+// arrays, strings, numbers, bools, null), enough for tests to consume
+// BENCH_*.json and JSONL traces as written.
 // No third-party dependency: the container image is frozen.
 
 #include <cstddef>
