@@ -1,6 +1,6 @@
 #pragma once
-// Lock-cheap metrics registry: counters, gauges, histograms and RAII scoped
-// timers for the hot paths (solvers, thread pool, simulator).
+// Lock-cheap metrics registry: counters, gauges and histograms for the hot
+// paths (solvers, thread pool, simulator).
 //
 // Design rules, in order:
 //   1. Off by default, near-free when off.  The process-global sink starts
@@ -15,8 +15,8 @@
 //      the model's point of view, which is what keeps the bit-identical
 //      across-thread-counts guarantee intact.
 //
-// Timing goes through obs/clock.hpp, the tree's only waivered wall-clock
-// boundary; timer readings are excluded from golden comparisons.
+// Stage timing is the spans' (obs/span.hpp), through obs/clock.hpp, the
+// tree's only waivered wall-clock boundary.
 
 #include <atomic>
 #include <cstdint>
@@ -27,7 +27,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/clock.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace coca::obs {
@@ -162,29 +161,5 @@ inline void gauge_set(const char* name, double v) {
 inline void observe(const char* name, double v) {
   if (Registry* r = global()) r->histogram(name).record(v);
 }
-
-/// Records elapsed milliseconds into histogram `name` on destruction.
-/// A null target registry (the default when no global sink is installed)
-/// skips the clock read entirely.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const char* name, Registry* registry = global())
-      : name_(name),
-        registry_(registry),
-        start_ns_(registry_ ? now_ns() : 0) {}
-  ~ScopedTimer() {
-    if (registry_ == nullptr) return;
-    const double elapsed_ms =
-        static_cast<double>(now_ns() - start_ns_) / 1e6;
-    registry_->histogram(name_).record(elapsed_ms);
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  const char* name_;
-  Registry* registry_;
-  std::int64_t start_ns_;
-};
 
 }  // namespace coca::obs

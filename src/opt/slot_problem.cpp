@@ -2,33 +2,64 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 namespace coca::opt {
 
 SlotOutcome evaluate(const dc::Fleet& fleet, const dc::Allocation& alloc,
                      const SlotInput& input, const SlotWeights& weights) {
   SlotOutcome out;
-  if (!dc::allocation_feasible(fleet, alloc, weights.gamma,
-                               &out.infeasible_reason)) {
+  if (alloc.size() != fleet.group_count()) {
+    out.infeasible_reason = "group count mismatch";
     return out;
   }
-  // Written so that a NaN or infinite lambda fails it.
-  const double served = dc::total_load(alloc);
+  if (!(weights.gamma > 0.0 && weights.gamma < 1.0)) {
+    out.infeasible_reason = "gamma outside (0, 1)";
+    return out;
+  }
+
+  // One pass over the groups.  Each group is checked against its ladder,
+  // the power model's domain and the utilization cap (constraint 7), in that
+  // order, so the first failing group names the reason; its served load, IT
+  // power (Eq. 2) and delay jobs (Eq. 4) are summed in group order.
+  const dc::FleetTables& tables = fleet.tables();
+  const std::vector<double>& servers = fleet.server_counts();
+  double served = 0.0;
+  double it_kw = 0.0;
+  double delay_jobs = 0.0;
+  for (std::size_t g = 0; g < alloc.size(); ++g) {
+    const dc::GroupAllocation& a = alloc[g];
+    if (a.level >= dc::ladder_size(tables, g)) {
+      out.infeasible_reason = "group " + std::to_string(g) + ": bad level";
+      return out;
+    }
+    const dc::GroupTerms terms = dc::group_terms(tables, g, servers[g], a);
+    if (terms.violation) {
+      out.infeasible_reason =
+          "group " + std::to_string(g) + ": " + terms.violation;
+      return out;
+    }
+    const double cap =
+        weights.gamma * tables.rate[tables.level_offset[g] + a.level] * a.active;
+    if (a.load > cap * (1.0 + 1e-6) + 1e-6) {
+      std::ostringstream msg;
+      msg << "group " << g << ": load " << a.load
+          << " exceeds gamma-capped capacity " << cap;
+      out.infeasible_reason = msg.str();
+      return out;
+    }
+    served += a.load;
+    it_kw += terms.it_kw;
+    delay_jobs += terms.delay_jobs;
+  }
+  // Constraint 8, written so that a NaN or infinite lambda fails it.
   if (!std::isfinite(input.lambda) ||
       !(std::abs(served - input.lambda) <=
         1e-6 * std::max(1.0, input.lambda) + 1e-6)) {
     out.infeasible_reason = "served load does not match lambda (constraint 8)";
     return out;
-  }
-
-  // IT power (Eq. 2) and delay jobs (Eq. 4) in one pass over the tables.
-  const dc::FleetTables& tables = fleet.tables();
-  double it_kw = 0.0;
-  double delay_jobs = 0.0;
-  for (std::size_t g = 0; g < alloc.size(); ++g) {
-    const dc::GroupTerms terms = dc::group_terms(tables, g, alloc[g]);
-    it_kw += terms.it_kw;
-    delay_jobs += terms.delay_jobs;
   }
 
   // Cost accounting through the typed layer (util/units.hpp): each line is a

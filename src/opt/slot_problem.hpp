@@ -24,25 +24,15 @@ namespace coca::opt {
 /// the queue update after the slot).
 ///
 /// The raw fields stay plain doubles (aggregate init is used all over the
-/// solvers and benches); the typed accessors and factory below are the
-/// dimension-checked way in and out.
+/// solvers and benches); the typed accessors below are the
+/// dimension-checked way out.
 struct SlotInput {
   double lambda = 0.0;     ///< total workload arrival rate (req/s)
   double onsite_kw = 0.0;  ///< on-site renewable power r(t) (kW)
   double price = 0.0;      ///< electricity price w(t) ($/kWh)
 
-  units::RequestsPerSec arrival_rate() const {
-    return units::RequestsPerSec{lambda};
-  }
   units::KiloWatts onsite_power() const { return units::KiloWatts{onsite_kw}; }
   units::UsdPerKwh price_per_kwh() const { return units::UsdPerKwh{price}; }
-
-  /// Typed factory: passing a price where power is expected (or any other
-  /// dimension mixup) fails to compile.
-  static SlotInput of(units::RequestsPerSec lambda_rps,
-                      units::KiloWatts onsite, units::UsdPerKwh price_kwh) {
-    return SlotInput{lambda_rps.value(), onsite.value(), price_kwh.value()};
-  }
 };
 
 /// Controller weights and model parameters for P3.
@@ -72,9 +62,6 @@ struct SlotWeights {
   }
 
   units::Hours slot_duration() const { return units::Hours{slot_hours}; }
-  units::UsdPerKwh brown_price(units::UsdPerKwh electricity_price) const {
-    return units::UsdPerKwh{brown_price(electricity_price.value())};
-  }
 };
 
 /// Full cost breakdown of an allocation at one slot.
@@ -90,17 +77,10 @@ struct SlotOutcome {
   bool feasible = false;
   std::string infeasible_reason;
 
-  // Typed views of the billed quantities (see util/units.hpp).
-  units::KiloWatts it_power() const { return units::KiloWatts{it_power_kw}; }
-  units::KiloWatts facility_power() const {
-    return units::KiloWatts{facility_power_kw};
-  }
+  /// y(t) as a typed quantity (see util/units.hpp).
   units::KiloWattHours brown_energy() const {
     return units::KiloWattHours{brown_kwh};
   }
-  units::Usd electricity() const { return units::Usd{electricity_cost}; }
-  units::Usd delay() const { return units::Usd{delay_cost}; }
-  units::Usd total() const { return units::Usd{total_cost}; }
 };
 
 /// Score an allocation; returns an infeasible outcome (objective = +inf)

@@ -1,12 +1,13 @@
 // Tests for fleet assembly, the fleet's level tables and server types, the
-// fleet-level power model (Eq. 2) and the slot's electricity bill (Eq. 3)
-// as opt::evaluate computes it.
+// fleet-level power model (Eq. 2), and the slot's electricity bill (Eq. 3)
+// and feasibility reasons as opt::evaluate computes them.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dc/power_model.hpp"
@@ -71,6 +72,17 @@ class PowerModelTest : public ::testing::Test {
     a[1] = {level, active1, load1};
     return a;
   }
+
+  /// opt::evaluate's infeasible reason for `a` ("" when feasible), with
+  /// lambda set to the load `a` serves so that constraint 8 holds.
+  std::string reason(const Allocation& a, double gamma = 0.9) const {
+    opt::SlotWeights weights;
+    weights.gamma = gamma;
+    const auto out =
+        opt::evaluate(fleet_, a, {total_load(a), 0.0, 0.05}, weights);
+    EXPECT_EQ(out.feasible, out.infeasible_reason.empty());
+    return out.infeasible_reason;
+  }
 };
 
 TEST_F(PowerModelTest, ItPowerSumsGroups) {
@@ -111,24 +123,49 @@ TEST_F(PowerModelTest, TotalsHelpers) {
 
 TEST_F(PowerModelTest, FeasibilityRespectsGammaCap) {
   // gamma = 0.9, top rate 10: cap per server = 9 req/s.
-  auto ok = alloc(1.0, 9.0, 0.0, 0.0);
-  std::string why;
-  EXPECT_TRUE(allocation_feasible(fleet_, ok, 0.9, &why)) << why;
-  auto over = alloc(1.0, 9.5, 0.0, 0.0);
-  EXPECT_FALSE(allocation_feasible(fleet_, over, 0.9, &why));
-  EXPECT_NE(why.find("gamma"), std::string::npos);
+  EXPECT_EQ(reason(alloc(1.0, 9.0, 0.0, 0.0)), "");
+  EXPECT_EQ(reason(alloc(1.0, 9.5, 0.0, 0.0)),
+            "group 0: load 9.5 exceeds gamma-capped capacity 9");
 }
 
 TEST_F(PowerModelTest, FeasibilityCatchesBadShapes) {
   auto a = alloc(1.0, 1.0, 0.0, 0.0);
-  EXPECT_FALSE(allocation_feasible(fleet_, a, 0.0));
+  EXPECT_EQ(reason(a, 0.0), "gamma outside (0, 1)");
   a[0].active = 11.0;
-  EXPECT_FALSE(allocation_feasible(fleet_, a, 0.9));
+  EXPECT_EQ(reason(a), "group 0: active outside [0, count]");
   a[0].active = 1.0;
   a[0].level = 7;
-  EXPECT_FALSE(allocation_feasible(fleet_, a, 0.9));
-  Allocation wrong_size(1);
-  EXPECT_FALSE(allocation_feasible(fleet_, wrong_size, 0.9));
+  EXPECT_EQ(reason(a), "group 0: bad level");
+  EXPECT_EQ(reason(Allocation(1)), "group count mismatch");
+}
+
+TEST_F(PowerModelTest, FeasibilityReportsTheFirstFailingGroup) {
+  // Group 0 fails its last check (the gamma cap), group 1 its first (the
+  // ladder) or the power model's domain: group 0's reason wins.
+  auto a = alloc(1.0, 9.5, 1.0, 1.0);
+  a[1].level = 7;
+  EXPECT_EQ(reason(a), "group 0: load 9.5 exceeds gamma-capped capacity 9");
+  a[1].level = 3;
+  a[1].active = 11.0;
+  EXPECT_EQ(reason(a), "group 0: load 9.5 exceeds gamma-capped capacity 9");
+  // And the other way round: group 0 outside the domain, group 1 over its
+  // cap.
+  a = alloc(0.0, 1.0, 1.0, 9.5);
+  EXPECT_EQ(reason(a), "group 0: load with no active servers");
+}
+
+TEST_F(PowerModelTest, FeasibilityGroupReasonBeatsServedLoad) {
+  // Lambda misses the served load and group 0 lies outside the domain: the
+  // group's reason is reported, not constraint 8's.
+  const auto a = alloc(11.0, 1.0, 0.0, 0.0);
+  const auto out = opt::evaluate(fleet_, a, {5.0, 0.0, 0.05}, {});
+  EXPECT_FALSE(out.feasible);
+  EXPECT_EQ(out.infeasible_reason, "group 0: active outside [0, count]");
+  // With the group fixed, the served load is what fails.
+  const auto fixed = opt::evaluate(fleet_, alloc(1.0, 1.0, 0.0, 0.0),
+                                   {5.0, 0.0, 0.05}, {});
+  EXPECT_EQ(fixed.infeasible_reason,
+            "served load does not match lambda (constraint 8)");
 }
 
 TEST_F(PowerModelTest, CappedCapacity) {
@@ -162,6 +199,30 @@ TEST(CappedCapacity, ReadsTheTablesAsTheSpecsAndRejectsBadLevels) {
   }
   Allocation short_alloc(a.size() - 1);
   EXPECT_THROW(capped_capacity(fleet, short_alloc, 0.9), std::invalid_argument);
+}
+
+TEST(ItPower, AnActiveGroupsLevelMustLieInItsLadder) {
+  // dc::it_power_kw reads an active group's level from the tables: a level
+  // outside its ladder throws std::out_of_range (a middle group and the
+  // last one, whose bad level would read past the tables).  An idle group's
+  // level is never read, so any level is accepted there.
+  FleetConfig config;
+  config.group_count = 40;
+  const Fleet fleet = make_default_fleet(config);
+  Allocation a(fleet.group_count());
+  for (std::size_t g = 0; g < a.size(); ++g) {
+    a[g].level = g % fleet.group(g).spec().level_count();
+    a[g].active = 1.0;
+  }
+  for (const std::size_t bad : {std::size_t{17}, a.size() - 1}) {
+    Allocation b = a;
+    b[bad].level = fleet.group(bad).spec().level_count();
+    EXPECT_THROW(it_power_kw(fleet, b), std::out_of_range) << bad;
+    b[bad].active = 0.0;
+    Allocation idle = a;
+    idle[bad].active = 0.0;
+    EXPECT_EQ(it_power_kw(fleet, b), it_power_kw(fleet, idle)) << bad;
+  }
 }
 
 // --- server types: the ladder's per-type market clearing ------------------

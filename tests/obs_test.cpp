@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <optional>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -69,16 +69,17 @@ TEST(ObsMetrics, RegistryFindOrCreateIsStable) {
 TEST(ObsMetrics, RegistryIdsAreNeverReused) {
   // A cache of resolved instruments keys on the installed registry's id:
   // a registry built where a destroyed one lived must not share its id.
-  std::optional<Registry> slot;
-  slot.emplace();
-  const Registry* address = &*slot;
-  const std::uint64_t first = slot->id();
-  slot.reset();
-  slot.emplace();
-  ASSERT_EQ(&*slot, address);
-  EXPECT_NE(slot->id(), first);
+  // Placement new, not std::optional: gcc 12 reports optional's emplace
+  // after reset as maybe-uninitialized under -fno-sanitize-recover.
+  alignas(Registry) unsigned char storage[sizeof(Registry)];
+  Registry* registry = new (storage) Registry;
+  const std::uint64_t first = registry->id();
+  registry->~Registry();
+  registry = new (storage) Registry;
+  EXPECT_NE(registry->id(), first);
   EXPECT_NE(first, 0u);
-  EXPECT_NE(slot->id(), 0u);
+  EXPECT_NE(registry->id(), 0u);
+  registry->~Registry();
 }
 
 TEST(ObsMetrics, HelpersAreNoOpsWithoutGlobalRegistry) {
@@ -87,7 +88,6 @@ TEST(ObsMetrics, HelpersAreNoOpsWithoutGlobalRegistry) {
   count("nobody.listens");
   gauge_set("nobody.listens", 1.0);
   observe("nobody.listens", 1.0);
-  { ScopedTimer timer("nobody.listens"); }
   EXPECT_EQ(global(), nullptr);
 }
 
@@ -99,15 +99,11 @@ TEST(ObsMetrics, GlobalRegistryScopeInstallsAndRestores) {
     count("scoped.events", 2);
     gauge_set("scoped.level", 4.5);
     observe("scoped.sample", 1.25);
-    { ScopedTimer timer("scoped.timer_ms"); }
   }
   EXPECT_EQ(global(), nullptr);  // restored
   EXPECT_EQ(registry.counter_value("scoped.events"), 2);
   EXPECT_DOUBLE_EQ(registry.gauge("scoped.level").value(), 4.5);
   EXPECT_EQ(registry.histogram("scoped.sample").snapshot().count, 1);
-  const auto timer = registry.histogram("scoped.timer_ms").snapshot();
-  EXPECT_EQ(timer.count, 1);
-  EXPECT_GE(timer.min, 0.0);
 }
 
 TEST(ObsMetrics, ConcurrentRecordingIsSafe) {
