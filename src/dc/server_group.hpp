@@ -36,12 +36,13 @@ class ServerGroup {
 
   /// Group power (kW) with `active` servers at level k, total group load
   /// `group_lambda` spread equally (Eq. 1 summed; active may be fractional
-  /// during relaxed optimization).
+  /// during relaxed optimization).  Oracle for `dc::group_terms`' IT power.
   double power_kw(std::size_t k, double active, double group_lambda) const;
 
   /// Group delay cost (Eq. 4 summed): active * a/(x - a) with a the
   /// per-server load.  Requires a < x (enforced upstream via the utilization
   /// cap gamma < 1); returns +inf if a >= x to keep optimizers safe.
+  /// Oracle for `dc::group_terms`' delay jobs.
   double delay_cost(std::size_t k, double active, double group_lambda) const;
 
  private:

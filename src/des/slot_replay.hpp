@@ -32,7 +32,8 @@ struct PsMeasurement {
 };
 
 /// Simulate one M/G/1/PS server with arrival rate `lambda` (jobs/s) and
-/// service rate `rate` (jobs/s) for `duration` simulated seconds.
+/// service rate `rate` (jobs/s) for `duration` simulated seconds.  Oracle for
+/// the analytic M/G/1/PS formulas (`dc::mg1ps_*`) at job level.
 PsMeasurement measure_ps_server(double lambda, double rate, double duration,
                                 std::uint64_t seed = 9);
 
@@ -40,7 +41,8 @@ PsMeasurement measure_ps_server(double lambda, double rate, double duration,
 /// server per group with load > 0.  Returns the fleet delay cost estimated
 /// from the measurements (sum over groups of active * measured jobs in
 /// system), comparable to dc::total_delay_jobs.  Group g draws from the
-/// independent stream_seed(seed, g).
+/// independent stream_seed(seed, g).  Oracle for the analytic fleet delay
+/// cost (Eq. 4) at job level.
 double replay_delay_jobs(const dc::Fleet& fleet, const dc::Allocation& alloc,
                          double duration, std::uint64_t seed = 9);
 

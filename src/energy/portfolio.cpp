@@ -54,20 +54,4 @@ Trace make_offsite_trace(double target_total_kwh, std::uint64_t seed,
   return make_portfolio_trace(target_total_kwh, config, "offsite");
 }
 
-Trace make_onsite_trace(units::KiloWattHours target_total, std::uint64_t seed,
-                        std::size_t hours) {
-  return make_onsite_trace(target_total.value(), seed,  // UNITS: raw delegate
-                           hours);
-}
-
-Trace make_offsite_trace(units::KiloWattHours target_total, std::uint64_t seed,
-                         std::size_t hours) {
-  return make_offsite_trace(target_total.value(), seed,  // UNITS: raw delegate
-                            hours);
-}
-
-Trace scaled_to_total(const Trace& trace, units::KiloWattHours target_total) {
-  return scaled_to_total(trace, target_total.value());  // UNITS: raw delegate
-}
-
 }  // namespace coca::energy

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 
-#include "util/units.hpp"
 #include "workload/trace.hpp"
 
 namespace coca::energy {
@@ -43,19 +42,5 @@ coca::workload::Trace make_offsite_trace(double target_total_kwh,
 /// Rescale a trace so its total (sum over slots) equals `target_total`.
 coca::workload::Trace scaled_to_total(const coca::workload::Trace& trace,
                                       double target_total);
-
-// Typed layer (util/units.hpp): portfolios are sized by *annual energy*, and
-// these overloads make that dimension explicit — passing a power or a price
-// as a sizing target fails to compile.
-coca::workload::Trace make_onsite_trace(units::KiloWattHours target_total,
-                                        std::uint64_t seed = 11,
-                                        std::size_t hours =
-                                            coca::workload::kHoursPerYear);
-coca::workload::Trace make_offsite_trace(units::KiloWattHours target_total,
-                                         std::uint64_t seed = 12,
-                                         std::size_t hours =
-                                             coca::workload::kHoursPerYear);
-coca::workload::Trace scaled_to_total(const coca::workload::Trace& trace,
-                                      units::KiloWattHours target_total);
 
 }  // namespace coca::energy

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -58,20 +60,9 @@ GsdResult GsdSolver::solve(const dc::Fleet& fleet, const SlotInput& input,
                            const SlotWeights& weights,
                            std::optional<dc::Allocation> initial) const {
   const int chains = std::max(1, config_.chains);
-  if (chains == 1) {
-    GsdResult result = [&] {
-      const obs::ScopedSpan chain_span("gsd_chain[0]");
-      return solve_chain(fleet, input, weights, initial, config_.seed);
-    }();
-    obs::count("gsd.solves");
-    obs::count("gsd.evaluations", result.evaluations);
-    obs::count("gsd.accepted", result.accepted);
-    return result;
-  }
-
   // Chain c draws from the deterministically derived stream seed ^ c, so
-  // chain 0 reproduces the single-chain run and the chain set is a pure
-  // function of the config.
+  // chain 0 of any chain count is the single-chain run and the chain set is
+  // a pure function of the config.
   //
   // Capture the dispatching thread's span path so chain spans keep their
   // place in the hierarchy whether run_chain executes inline (threads<=1)
@@ -90,9 +81,10 @@ GsdResult GsdSolver::solve(const dc::Fleet& fleet, const SlotInput& input,
   };
   const std::size_t hardware =
       std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t threads =
-      config_.threads > 0 ? static_cast<std::size_t>(config_.threads)
-                          : std::min(static_cast<std::size_t>(chains), hardware);
+  const std::size_t threads = std::min(
+      per_chain.size(), config_.threads > 0
+                            ? static_cast<std::size_t>(config_.threads)
+                            : hardware);
   if (threads <= 1) {
     for (std::size_t c = 0; c < per_chain.size(); ++c) run_chain(c);
   } else {
@@ -105,13 +97,15 @@ GsdResult GsdSolver::solve(const dc::Fleet& fleet, const SlotInput& input,
   for (std::size_t c = 1; c < per_chain.size(); ++c) {
     if (better(per_chain[c], per_chain[winner])) winner = c;
   }
-  GsdResult merged = per_chain[winner];
-  merged.evaluations = 0;
-  merged.accepted = 0;
+  int evaluations = 0;
+  int accepted = 0;
   for (const auto& chain : per_chain) {
-    merged.evaluations += chain.evaluations;
-    merged.accepted += chain.accepted;
+    evaluations += chain.evaluations;
+    accepted += chain.accepted;
   }
+  GsdResult merged = std::move(per_chain[winner]);
+  merged.evaluations = evaluations;
+  merged.accepted = accepted;
   merged.chains_run = chains;
   merged.winning_chain = static_cast<int>(winner);
   obs::count("gsd.solves");

@@ -45,7 +45,8 @@ struct GsdConfig {
   /// Independent Gibbs chains run concurrently; chain c uses seed ^ c.
   int chains = 1;
   /// Worker threads for multi-chain runs: 0 = one per chain (capped at the
-  /// hardware), 1 = serial.  Has no effect on the merged result.
+  /// hardware), 1 = serial; never more than `chains`.  Has no effect on the
+  /// merged result.
   int threads = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -9,12 +10,15 @@
 
 #include "obs/metrics.hpp"
 #include "opt/load_lp.hpp"
-#include "util/solvers.hpp"
 
 namespace coca::opt {
 namespace {
 
 constexpr double kTiny = 1e-12;
+
+/// The ladder's boundary search (`clear_kink`): coarser than the load LP's,
+/// since each step provisions the fleet anew.
+constexpr KinkSearch kLadderSearch{1e-6, 1e-4, 60};
 
 /// Per-server cost of running at level data (rate s, facility static power
 /// ps, facility dynamic slope c) with per-server load a.
@@ -294,41 +298,34 @@ SlotSolution LadderSolver::solve(const dc::Fleet& fleet, const SlotInput& input,
     return solution;
   }
 
-  const double mu_full = weights.brown_price(input.price);
-
-  // Regime A: optimum draws grid power.
-  solution = solve_linear(fleet, input, weights, mu_full);
-  solution.regime = PowerRegime::kGridDraw;
-  if (solution.outcome.facility_power_kw < input.onsite_kw * (1.0 - 1e-9)) {
-    // Regime B: free energy below the on-site supply (only the facility-
-    // power price — the peak-power extension's multiplier — remains).
-    const double mu_floor = weights.power_price;
-    SlotSolution delay_min = solve_linear(fleet, input, weights, mu_floor);
-    if (delay_min.outcome.facility_power_kw <=
-        input.onsite_kw * (1.0 + 1e-9)) {
-      delay_min.regime = PowerRegime::kRenewable;
-      solution = delay_min;
-    } else {
-      // Boundary: pin facility power to the on-site supply.
-      auto power_gap = [&](double mu) {
-        return solve_linear(fleet, input, weights, mu)
-                   .outcome.facility_power_kw -
-               input.onsite_kw;
-      };
-      util::BisectionOptions options;
-      options.x_tol = std::max(1e-12, mu_full * 1e-6);
-      options.f_tol = 1e-4 * std::max(1.0, input.onsite_kw);
-      options.max_iterations = 60;
-      const auto boundary = util::bisect(power_gap, mu_floor, mu_full, options);
-      SlotSolution pinned = solve_linear(fleet, input, weights, boundary.x);
-      pinned.regime = PowerRegime::kBoundary;
-      // Keep whichever of the three candidates scores best on the true
-      // objective (the kinked objective is what evaluate() reports).
-      if (pinned.outcome.objective < solution.outcome.objective) solution = pinned;
-      if (delay_min.outcome.objective < solution.outcome.objective) {
-        delay_min.regime = PowerRegime::kRenewable;
-        solution = delay_min;
-      }
+  // The kink's candidates, each as its linear solve made it: the grid-draw
+  // point lands in `solution` itself, the delay-minimizing point in
+  // `delay_min`, and every point of the boundary search in `pinned`, whose
+  // last is the pinned one.
+  SlotSolution delay_min;
+  SlotSolution pinned;
+  const auto facility_kw_at = [&](double mu, PowerRegime candidate) {
+    SlotSolution& made = candidate == PowerRegime::kGridDraw    ? solution
+                         : candidate == PowerRegime::kRenewable ? delay_min
+                                                                : pinned;
+    made = solve_linear(fleet, input, weights, mu);
+    return made.outcome.facility_power_kw;
+  };
+  const PowerRegime regime =
+      clear_kink(input, weights, kLadderSearch, std::cref(facility_kw_at))
+          .regime;
+  delay_min.regime = PowerRegime::kRenewable;
+  if (regime == PowerRegime::kRenewable) {
+    solution = std::move(delay_min);
+  } else if (regime == PowerRegime::kBoundary) {
+    // Keep whichever of the three candidates scores best on the true
+    // objective (the kinked objective is what evaluate() reports).
+    pinned.regime = PowerRegime::kBoundary;
+    if (pinned.outcome.objective < solution.outcome.objective) {
+      solution = std::move(pinned);
+    }
+    if (delay_min.outcome.objective < solution.outcome.objective) {
+      solution = std::move(delay_min);
     }
   }
 

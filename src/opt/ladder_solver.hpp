@@ -12,11 +12,17 @@
 // market-clearing problem: a bisection on nu activates groups in merit order
 // and sizes the marginal group.  A group's best response depends only on its
 // level tables, so the clearing evaluates it once per server type (groups
-// with bitwise-equal tables) and shares it across the type's groups.  The
-// renewable kink is handled by an outer
-// bisection on mu exactly as in the load balancer.  With ~1000 servers per
-// group the integrality gap of the relaxation is negligible; an optional
-// local-search polish tightens the remaining slack.
+// with bitwise-equal tables) and shares it across the type's groups.  With
+// ~1000 servers per group the integrality gap of the relaxation is
+// negligible; an optional local-search polish tightens the remaining slack.
+//
+// The renewable kink goes through the load balancer's driver, `clear_kink`
+// (opt/load_balancer.hpp), over `solve_linear`, with the ladder's own
+// boundary search (x_tol 1e-6*mu, f_tol 1e-4*max(1, r), 60 steps: each step
+// provisions the fleet anew).  The driver's solves are the candidates: on a
+// boundary the ladder keeps whichever of the grid-draw, delay-minimizing and
+// pinned solutions scores best on the true objective.  A grid-draw solve,
+// every solve on the perfbench workloads, costs one `solve_linear`.
 //
 // The ladder solver is the default per-slot engine for year-long simulations;
 // GSD (the paper's distributed sampler) and the exhaustive solver validate it.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -11,6 +12,9 @@ namespace coca::opt {
 namespace {
 
 constexpr double kTiny = 1e-12;
+
+/// The load LP's boundary search (`balance_kinked`).
+constexpr KinkSearch kLoadSearch{1e-10, 1e-6, 100};
 
 /// One active (group, level) slice seen by the dual decomposition: rate,
 /// facility-referenced dynamic slope, active count.
@@ -152,62 +156,87 @@ double balance_loads_linear(const dc::Fleet& fleet, dc::Allocation& alloc,
   return nu;
 }
 
-LoadBalanceResult balance_loads(const dc::Fleet& fleet, dc::Allocation& alloc,
-                                const SlotInput& input,
-                                const SlotWeights& weights) {
-  LoadBalanceResult result;
+KinkClearing clear_kink(
+    const SlotInput& input, const SlotWeights& weights,
+    const KinkSearch& search,
+    const std::function<double(double, PowerRegime)>& facility_kw_at) {
+  // Grid draw: assume the optimum draws grid power (p >= r).
   const double mu_full = weights.brown_price(input.price);
+  const double power_full = facility_kw_at(mu_full, PowerRegime::kGridDraw);
+  if (std::isnan(power_full)) return {};
+  if (power_full >= input.onsite_kw * (1.0 - 1e-9)) {
+    return {true, PowerRegime::kGridDraw, mu_full};
+  }
 
-  // Regime A: assume the optimum draws grid power (p >= r).
-  double nu = balance_loads_linear(fleet, alloc, input.lambda, mu_full, weights);
-  if (nu < 0.0) {
+  // Renewable: electricity free below r; only the facility-power price (the
+  // peak-power extension's multiplier; 0 in the base model) and the delay
+  // cost remain.
+  const double mu_floor = weights.power_price;
+  if (facility_kw_at(mu_floor, PowerRegime::kRenewable) <=
+      input.onsite_kw * (1.0 + 1e-9)) {
+    return {true, PowerRegime::kRenewable, mu_floor};
+  }
+
+  // Boundary: the optimum sits at p == r; find the effective price mu in
+  // (mu_floor, mu_full) whose linear solution hits the on-site supply
+  // exactly, then solve there once more.
+  const auto power_gap = [&](double mu) {
+    return facility_kw_at(mu, PowerRegime::kBoundary) - input.onsite_kw;
+  };
+  util::BisectionOptions options;
+  options.x_tol = std::max(1e-12, mu_full * search.x_tol);
+  options.f_tol = search.f_tol * std::max(1.0, input.onsite_kw);
+  options.max_iterations = search.max_iterations;
+  const double mu =
+      util::bisect(std::cref(power_gap), mu_floor, mu_full, options).x;
+  facility_kw_at(mu, PowerRegime::kBoundary);
+  return {true, PowerRegime::kBoundary, mu};
+}
+
+LoadBalanceResult balance_kinked(const dc::Fleet& fleet, dc::Allocation& alloc,
+                                 const SlotInput& input,
+                                 const SlotWeights& weights,
+                                 const std::function<double(double)>& linear) {
+  LoadBalanceResult result;
+  double nu = 0.0;
+  // A regime check evaluates once: a feasible outcome's facility_power_kw is
+  // the bits allocation_facility_kw returns (the same table pass in the same
+  // order), so one evaluation serves both the branch decision and the
+  // returned outcome.  An infeasible outcome carries no power, so the check
+  // computes it the explicit way, as the boundary search always does.
+  const auto facility_kw_at = [&](double mu, PowerRegime candidate) {
+    nu = linear(mu);
+    if (nu < 0.0) return std::numeric_limits<double>::quiet_NaN();
+    if (candidate != PowerRegime::kBoundary) {
+      result.outcome = evaluate(fleet, alloc, input, weights);
+      if (result.outcome.feasible) return result.outcome.facility_power_kw;
+    }
+    return allocation_facility_kw(fleet, alloc, weights.pue);
+  };
+  const KinkClearing clearing =
+      clear_kink(input, weights, kLoadSearch, std::cref(facility_kw_at));
+  if (!clearing.feasible) {
     result.outcome = evaluate(fleet, alloc, input, weights);
     result.outcome.infeasible_reason = "active capacity below lambda";
     return result;
   }
-  const double power_a = allocation_facility_kw(fleet, alloc, weights.pue);
-  if (power_a >= input.onsite_kw * (1.0 - 1e-9)) {
-    result.feasible = true;
-    result.regime = PowerRegime::kGridDraw;
-    result.nu = nu;
-    result.effective_price = mu_full;
+  if (clearing.regime == PowerRegime::kBoundary) {
     result.outcome = evaluate(fleet, alloc, input, weights);
-    return result;
   }
-
-  // Regime B: electricity free below r; only the facility-power price (the
-  // peak-power extension's multiplier; 0 in the base model) and the delay
-  // cost remain.
-  const double mu_floor = weights.power_price;
-  nu = balance_loads_linear(fleet, alloc, input.lambda, mu_floor, weights);
-  const double power_b = allocation_facility_kw(fleet, alloc, weights.pue);
-  if (power_b <= input.onsite_kw * (1.0 + 1e-9)) {
-    result.feasible = true;
-    result.regime = PowerRegime::kRenewable;
-    result.nu = nu;
-    result.effective_price = mu_floor;
-    result.outcome = evaluate(fleet, alloc, input, weights);
-    return result;
-  }
-
-  // Boundary: the optimum sits at p == r; find the effective price mu in
-  // (mu_floor, mu_full) whose linear solution hits the on-site supply exactly.
-  auto power_gap = [&](double mu) {
-    balance_loads_linear(fleet, alloc, input.lambda, mu, weights);
-    return allocation_facility_kw(fleet, alloc, weights.pue) - input.onsite_kw;
-  };
-  util::BisectionOptions options;
-  options.x_tol = std::max(1e-12, mu_full * 1e-10);
-  options.f_tol = 1e-6 * std::max(1.0, input.onsite_kw);
-  options.max_iterations = 100;
-  const auto boundary = util::bisect(power_gap, mu_floor, mu_full, options);
-  nu = balance_loads_linear(fleet, alloc, input.lambda, boundary.x, weights);
   result.feasible = true;
-  result.regime = PowerRegime::kBoundary;
+  result.regime = clearing.regime;
   result.nu = nu;
-  result.effective_price = boundary.x;
-  result.outcome = evaluate(fleet, alloc, input, weights);
+  result.effective_price = clearing.mu;
   return result;
+}
+
+LoadBalanceResult balance_loads(const dc::Fleet& fleet, dc::Allocation& alloc,
+                                const SlotInput& input,
+                                const SlotWeights& weights) {
+  const auto linear = [&](double mu) {
+    return balance_loads_linear(fleet, alloc, input.lambda, mu, weights);
+  };
+  return balance_kinked(fleet, alloc, input, weights, std::cref(linear));
 }
 
 }  // namespace coca::opt

@@ -318,71 +318,6 @@ void record_solve(const Lanes& lanes) {
   counters.exact_sums->add(lanes.exact_sums);
 }
 
-/// `balance_loads` over the built lanes: the reference-order regime
-/// sequence, with identical decisions, brackets and tolerances.
-LoadBalanceResult solve_kinked(Lanes& lanes, const dc::Fleet& fleet,
-                               dc::Allocation& alloc, const SlotInput& input,
-                               const SlotWeights& weights) {
-  LoadBalanceResult result;
-  const double mu_full = weights.brown_price(input.price);
-
-  double nu = solve_linear(lanes, alloc, input.lambda, mu_full, weights);
-  if (nu < 0.0) {
-    result.outcome = evaluate(fleet, alloc, input, weights);
-    result.outcome.infeasible_reason = "active capacity below lambda";
-    return result;
-  }
-  // Evaluate once per regime: a feasible outcome's facility_power_kw is the
-  // bits allocation_facility_kw returns (the same table pass in the same
-  // order), so one evaluation serves both the [p - r]^+ branch decision and
-  // the returned outcome.  An infeasible outcome carries no power, so the
-  // check computes it the explicit way, as the reference does.
-  SlotOutcome out_a = evaluate(fleet, alloc, input, weights);
-  const double power_a =
-      out_a.feasible ? out_a.facility_power_kw
-                     : allocation_facility_kw(fleet, alloc, weights.pue);
-  if (power_a >= input.onsite_kw * (1.0 - 1e-9)) {
-    result.feasible = true;
-    result.regime = PowerRegime::kGridDraw;
-    result.nu = nu;
-    result.effective_price = mu_full;
-    result.outcome = std::move(out_a);
-    return result;
-  }
-
-  const double mu_floor = weights.power_price;
-  nu = solve_linear(lanes, alloc, input.lambda, mu_floor, weights);
-  SlotOutcome out_b = evaluate(fleet, alloc, input, weights);
-  const double power_b =
-      out_b.feasible ? out_b.facility_power_kw
-                     : allocation_facility_kw(fleet, alloc, weights.pue);
-  if (power_b <= input.onsite_kw * (1.0 + 1e-9)) {
-    result.feasible = true;
-    result.regime = PowerRegime::kRenewable;
-    result.nu = nu;
-    result.effective_price = mu_floor;
-    result.outcome = std::move(out_b);
-    return result;
-  }
-
-  auto power_gap = [&](double mu) {
-    solve_linear(lanes, alloc, input.lambda, mu, weights);
-    return allocation_facility_kw(fleet, alloc, weights.pue) - input.onsite_kw;
-  };
-  util::BisectionOptions options;
-  options.x_tol = std::max(1e-12, mu_full * 1e-10);
-  options.f_tol = 1e-6 * std::max(1.0, input.onsite_kw);
-  options.max_iterations = 100;
-  const auto boundary = util::bisect(power_gap, mu_floor, mu_full, options);
-  nu = solve_linear(lanes, alloc, input.lambda, boundary.x, weights);
-  result.feasible = true;
-  result.regime = PowerRegime::kBoundary;
-  result.nu = nu;
-  result.effective_price = boundary.x;
-  result.outcome = evaluate(fleet, alloc, input, weights);
-  return result;
-}
-
 }  // namespace
 
 double clearing_margin(std::size_t terms, double grouped_supply,
@@ -406,7 +341,11 @@ LoadBalanceResult solve_load_lp(const dc::Fleet& fleet, dc::Allocation& alloc,
   // iterate of the boundary bisection) re-clears the same classes.
   Lanes* lanes = build_lanes(fleet, alloc, weights);
   if (lanes == nullptr) return balance_loads(fleet, alloc, input, weights);
-  LoadBalanceResult result = solve_kinked(*lanes, fleet, alloc, input, weights);
+  const auto linear = [&](double mu) {
+    return solve_linear(*lanes, alloc, input.lambda, mu, weights);
+  };
+  LoadBalanceResult result =
+      balance_kinked(fleet, alloc, input, weights, std::cref(linear));
   record_solve(*lanes);
   return result;
 }

@@ -24,13 +24,16 @@
 //     the reference's in-order sum over the groups only when the regrouped
 //     gap lies within the proven rounding margin (`clearing_margin`) of
 //     the step's decision, so every step decides as the reference does.
-// The regime checks and the returned outcome call `evaluate` and
-// `allocation_facility_kw`, the reference's own scoring, which read the
-// fleet tables in one pass (`dc::group_terms`).
+// The [p - r]^+ kink is the reference's own code: `solve_load_lp` hands its
+// linear solve to `balance_kinked` (opt/load_balancer.hpp), the wrapper over
+// the one kink driver that `balance_loads` uses too, so the regime order,
+// the boundary search and the scoring (`evaluate`, once per regime check,
+// and `allocation_facility_kw`, one pass over the fleet tables each) are
+// shared by construction.
 //
 // Every result is bit-for-bit identical to the reference `balance_loads`:
-// the canonical bracket, tolerances, regime order and iteration order are
-// preserved; only the memory layout, the hoisted invariants (identical
+// the canonical bracket, tolerances and iteration order of the linear solve
+// are preserved; only the memory layout, the hoisted invariants (identical
 // expressions, evaluated once per linear solve), the shared per-entry
 // responses (groups of a type read bitwise-equal tables) and the certified
 // bisection steps (the reference's branch at every step) differ.  A solve

@@ -56,32 +56,6 @@ double Metrics::total_shed_lambda() const {
   return sum.value();  // UNITS: reporting boundary — figures/tests read req/s
 }
 
-std::size_t Metrics::degraded_slot_count() const {
-  std::size_t n = 0;
-  for (const auto& s : slots_) n += s.degraded ? 1 : 0;
-  return n;
-}
-
-std::size_t Metrics::stale_slot_count() const {
-  std::size_t n = 0;
-  for (const auto& s : slots_) n += s.stale ? 1 : 0;
-  return n;
-}
-
-std::size_t Metrics::fallback_count() const {
-  std::size_t n = 0;
-  for (const auto& s : slots_) n += s.fallback ? 1 : 0;
-  return n;
-}
-
-std::size_t Metrics::shed_slot_count() const {
-  std::size_t n = 0;
-  for (const auto& s : slots_) {
-    n += s.shed_lambda.value() > 0.0 ? 1 : 0;  // UNITS: zero test, no math
-  }
-  return n;
-}
-
 double Metrics::average_cost() const {
   if (slots_.empty()) return 0.0;
   return total_cost() / static_cast<double>(slots_.size());

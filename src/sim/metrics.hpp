@@ -57,11 +57,6 @@ class Metrics {
   /// Total arrival rate shed across the run (req/s summed over shed slots;
   /// 0 on clean runs).
   double total_shed_lambda() const;
-  /// Fault-injection slot counts (all 0 on clean runs).
-  std::size_t degraded_slot_count() const;
-  std::size_t stale_slot_count() const;
-  std::size_t fallback_count() const;
-  std::size_t shed_slot_count() const;
   /// Average hourly cost (the paper's g-bar plus any REC spend).
   double average_cost() const;
 

@@ -54,12 +54,6 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
   }
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  if (hi <= lo) return lo;
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1ULL;
-  return lo + static_cast<std::int64_t>(uniform_index(span));
-}
-
 bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
@@ -86,25 +80,6 @@ double Rng::normal(double mean, double stddev) { return mean + stddev * normal()
 double Rng::exponential(double mean) {
   const double u = 1.0 - uniform();  // (0, 1]
   return -mean * std::log(u);
-}
-
-std::uint64_t Rng::poisson(double mean) {
-  if (mean <= 0.0) return 0;
-  if (mean < 64.0) {
-    // Knuth: multiply uniforms until below exp(-mean).
-    const double limit = std::exp(-mean);
-    std::uint64_t k = 0;
-    double product = uniform();
-    while (product > limit) {
-      ++k;
-      product *= uniform();
-    }
-    return k;
-  }
-  // Normal approximation with continuity correction; adequate for the
-  // large arrival counts used by the DES substrate.
-  const double sample = normal(mean, std::sqrt(mean));
-  return sample <= 0.0 ? 0ULL : static_cast<std::uint64_t>(sample + 0.5);
 }
 
 double Rng::lognormal(double mu, double sigma) {

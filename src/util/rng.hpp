@@ -38,8 +38,6 @@ class Rng {
   double uniform(double lo, double hi);
   /// Uniform integer in [0, n).  Unbiased (rejection sampling).
   std::uint64_t uniform_index(std::uint64_t n);
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p);
 
@@ -49,9 +47,6 @@ class Rng {
   double normal(double mean, double stddev);
   /// Exponential with given mean (mean > 0).
   double exponential(double mean);
-  /// Poisson-distributed count with given mean (Knuth for small means,
-  /// normal approximation beyond 64 to stay O(1)).
-  std::uint64_t poisson(double mean);
   /// Log-normal parameterized by the underlying normal's mu and sigma.
   double lognormal(double mu, double sigma);
 

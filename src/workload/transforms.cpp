@@ -1,7 +1,8 @@
 #include "workload/transforms.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -24,23 +25,6 @@ Trace with_prediction_error(const Trace& trace, double error, std::uint64_t seed
     values[t] = trace[t] * rng.uniform(1.0 - error, 1.0 + error);
   }
   return Trace(trace.name() + "/noisy", std::move(values), trace.slot_hours());
-}
-
-Trace clamped(const Trace& trace, double lo, double hi) {
-  if (lo > hi) throw std::invalid_argument("clamped: lo > hi");
-  std::vector<double> values(trace.size());
-  for (std::size_t t = 0; t < trace.size(); ++t) {
-    values[t] = std::clamp(trace[t], lo, hi);
-  }
-  return Trace(trace.name() + "/clamped", std::move(values), trace.slot_hours());
-}
-
-Trace floored(const Trace& trace, double floor_value) {
-  std::vector<double> values(trace.size());
-  for (std::size_t t = 0; t < trace.size(); ++t) {
-    values[t] = std::max(trace[t], floor_value);
-  }
-  return Trace(trace.name() + "/floored", std::move(values), trace.slot_hours());
 }
 
 }  // namespace coca::workload

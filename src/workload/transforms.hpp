@@ -1,6 +1,6 @@
 #pragma once
 // Trace transforms used by the sensitivity studies (Sec. 5.2.4):
-// workload overestimation, prediction-error injection, clamping.
+// workload overestimation and prediction-error injection.
 
 #include <cstdint>
 
@@ -17,11 +17,5 @@ Trace overestimate(const Trace& trace, double phi);
 /// uniform factor in [1-error, 1+error].  Models imperfect hour-ahead
 /// knowledge of lambda(t).
 Trace with_prediction_error(const Trace& trace, double error, std::uint64_t seed);
-
-/// Clamp every slot into [lo, hi].
-Trace clamped(const Trace& trace, double lo, double hi);
-
-/// Element-wise maximum with a floor value (e.g. keep a minimum load).
-Trace floored(const Trace& trace, double floor_value);
 
 }  // namespace coca::workload

@@ -1,12 +1,16 @@
 // Tests for the ladder slot solver: optimality against exhaustive search on
-// small fleets, monotone energy response to the deficit price, regime
-// handling, and structural properties of the provisioning.
+// small fleets (beta = 0 included), monotone energy response to the deficit
+// price, regime handling and the boundary's best of three, and structural
+// properties of the provisioning.
 
 #include "opt/ladder_solver.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "opt/exhaustive_solver.hpp"
 
@@ -190,6 +194,92 @@ INSTANTIATE_TEST_SUITE_P(
                       SmallCase{20.0, 0.06, 0.0, 100.0},
                       SmallCase{20.0, 0.06, 1.0, 0.0},
                       SmallCase{10.0, 0.02, 2.0, 1.0}));
+
+// --- the [p - r]^+ boundary's best of three, and beta = 0 ---
+
+/// 2 groups x 3 servers, two generations: small enough for exhaustive
+/// search, and a boundary search whose pinned point can lose.
+dc::Fleet six_server_fleet() {
+  return dc::make_default_fleet({.total_servers = 6, .group_count = 2,
+                                 .generations = 2, .speed_spread = 0.2,
+                                 .power_spread = 0.15});
+}
+
+void expect_bitwise_equal(const dc::Allocation& got,
+                          const dc::Allocation& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t g = 0; g < got.size(); ++g) {
+    EXPECT_EQ(got[g].level, want[g].level) << "group " << g;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[g].active),
+              std::bit_cast<std::uint64_t>(want[g].active))
+        << "group " << g;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[g].load),
+              std::bit_cast<std::uint64_t>(want[g].load))
+        << "group " << g;
+  }
+}
+
+/// Solves with r set `share` of the way from the ladder's facility power at
+/// r = 0 (its grid-draw point) to that at r = 1e12 (its delay-minimizing
+/// point), so that both regime checks fail and the boundary search runs.
+/// The winner must be one of the two end solves, bit for bit, scored at the
+/// slot's own r.
+void expect_boundary_keeps(double lambda, double beta, double share,
+                           PowerRegime winner) {
+  const dc::Fleet fleet = six_server_fleet();
+  const SlotWeights w = weights_with(1.0, 0.0, beta);
+  const LadderSolver ladder;
+  const SlotSolution grid = ladder.solve(fleet, {lambda, 0.0, 0.06}, w);
+  const SlotSolution free = ladder.solve(fleet, {lambda, 1e12, 0.06}, w);
+  ASSERT_EQ(grid.regime, PowerRegime::kGridDraw);
+  ASSERT_EQ(free.regime, PowerRegime::kRenewable);
+  const double low = grid.outcome.facility_power_kw;
+  const double high = free.outcome.facility_power_kw;
+  ASSERT_LT(low, high);
+  const SlotInput input{lambda, low + share * (high - low), 0.06};
+
+  const SlotSolution sol = ladder.solve(fleet, input, w);
+  ASSERT_TRUE(sol.feasible);
+  EXPECT_EQ(sol.regime, winner);
+  expect_bitwise_equal(sol.alloc, winner == PowerRegime::kGridDraw
+                                      ? grid.alloc
+                                      : free.alloc);
+  EXPECT_EQ(sol.outcome.objective,
+            evaluate(fleet, sol.alloc, input, w).objective);
+}
+
+TEST(LadderSolver, BoundaryKeepsTheGridDrawPointWhenItScoresBest) {
+  expect_boundary_keeps(2.43, 0.001, 0.25, PowerRegime::kGridDraw);
+}
+
+TEST(LadderSolver, BoundaryKeepsTheDelayMinimizingPointWhenItScoresBest) {
+  expect_boundary_keeps(24.3, 0.005, 0.75, PowerRegime::kRenewable);
+}
+
+TEST(LadderSolver, ZeroBetaMatchesExhaustiveSearch) {
+  // V*beta = 0 provisions by energy merit order (energy_greedy) whenever
+  // energy has a price, and the load LP fills by greedy_fill.
+  const dc::Fleet fleet = six_server_fleet();
+  const double capacity = 0.9 * fleet.max_capacity();
+  int cases = 0;
+  for (const double load_share : {0.1, 0.3, 0.5, 0.7, 0.85}) {
+    for (const double onsite : {0.0, 0.2, 0.5, 2.0}) {
+      for (const double q : {0.0, 10.0, 1000.0}) {
+        const SlotInput input{load_share * capacity, onsite, 0.06};
+        const SlotWeights w = weights_with(1.0, q, 0.0);
+        const SlotSolution exact = ExhaustiveSolver().solve(fleet, input, w);
+        const SlotSolution ladder = LadderSolver().solve(fleet, input, w);
+        ASSERT_TRUE(exact.feasible);
+        ASSERT_TRUE(ladder.feasible);
+        EXPECT_NEAR(ladder.outcome.objective, exact.outcome.objective,
+                    1e-9 * exact.outcome.objective)
+            << "lambda " << input.lambda << ", r " << onsite << ", q " << q;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 60);
+}
 
 }  // namespace
 }  // namespace coca::opt

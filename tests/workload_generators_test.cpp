@@ -152,17 +152,5 @@ TEST(Transforms, PredictionErrorBoundedAndDeterministic) {
   EXPECT_THROW(with_prediction_error(t, 1.5, 3), std::invalid_argument);
 }
 
-TEST(Transforms, ClampAndFloor) {
-  const Trace t("t", {1.0, 5.0, 9.0});
-  const Trace c = clamped(t, 2.0, 8.0);
-  EXPECT_DOUBLE_EQ(c[0], 2.0);
-  EXPECT_DOUBLE_EQ(c[1], 5.0);
-  EXPECT_DOUBLE_EQ(c[2], 8.0);
-  const Trace f = floored(t, 4.0);
-  EXPECT_DOUBLE_EQ(f[0], 4.0);
-  EXPECT_DOUBLE_EQ(f[2], 9.0);
-  EXPECT_THROW(clamped(t, 5.0, 1.0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace coca::workload
